@@ -19,6 +19,7 @@ from .bounds import (
     rpz_profile,
     scb_bound,
 )
+from .documents import builtin_state
 from .entropy import (
     EntropyBreakdown,
     binary_entropy,
@@ -30,7 +31,6 @@ from .family import (
     build_family,
     default_grid,
     entropy_total_closed_form,
-    reference_states,
     sweep,
     SweepRow,
 )
@@ -46,7 +46,6 @@ from .linalg import (
     as_state_vector,
     born_probabilities,
     hermitian_eigen,
-    largest_singular_value_sq,
     matrix_sqrt_psd,
     overlap_c,
     ray_fidelity,
@@ -61,7 +60,6 @@ from .pulses import (
     apply_pulses,
     calibrated_angle,
     pulse_unitary,
-    rabi_populations,
     verify_projection_sequence,
     verify_row,
     verify_table,
@@ -109,6 +107,7 @@ __all__ = [
     "born_probabilities",
     "bound_report",
     "build_family",
+    "builtin_state",
     "calibrated_angle",
     "default_grid",
     "entropy_sum",
@@ -116,7 +115,6 @@ __all__ = [
     "fidelity",
     "fidelity_with_ket",
     "hermitian_eigen",
-    "largest_singular_value_sq",
     "lmf_bound",
     "lmf_bound_best_ordering",
     "lmf_chain_coefficient",
@@ -125,10 +123,8 @@ __all__ = [
     "overlap_c",
     "project_physical",
     "pulse_unitary",
-    "rabi_populations",
     "ray_fidelity",
     "reconstruct",
-    "reference_states",
     "rpz_bound",
     "rpz_profile",
     "scb_bound",

@@ -1,20 +1,21 @@
 """Lower bounds on the sum of measurement entropies for projective bases.
 
 Three families of bounds are implemented, plus the pairwise log-overlap
-bound they all generalize:
+bound they all generalize.  The two state-dependent ones have the form
+"a constant from the measurements, plus a multiple of S(rho)":
 
-- ``scb_bound``: maximizes over cyclic chains of overlap coefficients,
-  trading chain length against multiples of the state entropy.
-- ``lmf_bound``: a chained max/sum over outcome index tuples whose single
-  coefficient b collapses to the pairwise overlap at N = 2.
+- ``scb_bound``: max over chain lengths k of -1/2 log2(smallest cyclic
+  overlap product of length k) + (N - k/2) S(rho).
+- ``lmf_bound``: (N - 1) S(rho) - log2 b, with b the chained overlap
+  coefficient of ``lmf_chain_coefficient`` (the pairwise overlap at N = 2).
 - ``rpz_bound``: state-independent, from the majorization profile of the
   pooled measurement vectors.
 
 All reported bounds are clamped below at 0 (a negative lower bound on
-entropies is vacuous); raw values stay available through the underscore
-helpers for diagnostics.  Entropies are in bits throughout.  Everything
-is enumerated exhaustively; pool sizes are capped instead of falling
-back to heuristics.
+entropies is vacuous).  Entropies are in bits throughout.  The scb
+chains, the lmf orderings and the rpz subsets are enumerated
+exhaustively; their sizes are capped instead of falling back to
+heuristics.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     CapacityError,
     ProjectiveMeasurement,
     ValidationError,
+    as_measurements,
     overlap_c,
 )
 
@@ -39,18 +41,8 @@ from .linalg import (
 MAX_POOL_VECTORS = 24
 # Best-ordering search is factorial in the number of measurements.
 MAX_ORDERING_SEARCH = 5
-
-
-def _checked(measurements, *, minimum: int = 2) -> list[ProjectiveMeasurement]:
-    ms = list(measurements)
-    if len(ms) < minimum:
-        raise ValidationError(f"need at least {minimum} measurement(s), got {len(ms)}")
-    for m in ms:
-        if not isinstance(m, ProjectiveMeasurement):
-            raise ValidationError("expected ProjectiveMeasurement instances")
-    if len({m.dim for m in ms}) != 1:
-        raise ValidationError("measurements must share one dimension")
-    return ms
+# Cyclic-chain enumeration is factorial in the number of measurements.
+MAX_SCB_MEASUREMENTS = 9
 
 
 def _overlap_matrix(ms: list[ProjectiveMeasurement]) -> np.ndarray:
@@ -67,81 +59,75 @@ def mu_bound(r: ProjectiveMeasurement, s: ProjectiveMeasurement) -> float:
     return max(0.0, -math.log2(overlap_c(r, s)))
 
 
-def _scb_raw(ms: list[ProjectiveMeasurement], state_entropy: float) -> float:
-    n = len(ms)
-    c = _overlap_matrix(ms)
-    best = n * state_entropy  # k = 0: the chain term is defined as zero
-    for k in range(2, n + 1):
-        for chain in itertools.permutations(range(n), k):
-            prod = 1.0
-            for t in range(k):
-                prod *= c[chain[t], chain[(t + 1) % k]]
-            best = max(best, -0.5 * math.log2(prod) + (n - k / 2.0) * state_entropy)
-    return best
-
-
 def scb_bound(measurements, rho) -> float:
-    """Cyclic-chain bound: max over chain lengths k in {0, 2..N} and ordered
-    index chains of -1/2 log2(cyclic overlap product) + (N - k/2) S(rho).
+    """Cyclic-chain bound: max over chain lengths k in {0, 2..N} of
+    -1/2 log2(smallest cyclic overlap product of k distinct measurements)
+    + (N - k/2) S(rho); the k = 0 term is N S(rho).
+
+    Each cycle is enumerated from its smallest index only, not once per
+    rotation.
+    Limited to MAX_SCB_MEASUREMENTS measurements.
     """
-    ms = _checked(measurements)
-    return max(0.0, _scb_raw(ms, von_neumann_entropy(rho)))
+    ms = as_measurements(measurements, minimum=2)
+    n = len(ms)
+    if n > MAX_SCB_MEASUREMENTS:
+        raise CapacityError(f"scb chains limited to {MAX_SCB_MEASUREMENTS} measurements, got {n}")
+    c = _overlap_matrix(ms)
+    s = von_neumann_entropy(rho)
+    best = n * s
+    for k in range(2, n + 1):
+        cycles = (
+            (first, *rest)
+            for first in range(n - k + 1)
+            for rest in itertools.permutations(range(first + 1, n), k - 1)
+        )
+        prod_k = min(math.prod(c[cyc[t], cyc[(t + 1) % k]] for t in range(k)) for cyc in cycles)
+        best = max(best, -0.5 * math.log2(prod_k) + (n - k / 2.0) * s)
+    return max(0.0, best)
+
+
+def _chain_coefficient(ms: list[ProjectiveMeasurement]) -> float:
+    overlaps = [np.abs(a.basis.conj() @ b.basis.T) ** 2 for a, b in zip(ms, ms[1:])]
+    v = overlaps[0].max(axis=0)
+    for o in overlaps[1:]:
+        v = v @ o
+    return float(min(v.max(), 1.0))
 
 
 def lmf_chain_coefficient(measurements) -> float:
-    """The chained coefficient b of the lmf bound, by exhaustive iteration.
+    """The chained coefficient b of the lmf bound.
 
     b = max over the final outcome index of the sum over all middle index
     tuples of (max over the first index of the leading overlap) times the
-    product of consecutive overlaps.  For N = 2 the middle product is
-    empty (= 1), so b reduces to the pairwise overlap c(M1, M2).
-    Completeness of each basis keeps b <= 1.
+    product of consecutive overlaps.  With O_m the squared-overlap matrix
+    of bases m and m+1, that sum is the vector-matrix chain
+    (max_i O_1[i, :]) @ O_2 @ ... @ O_{N-1}.  For N = 2 the chain is
+    empty, so b reduces to the pairwise overlap c(M1, M2).  Completeness
+    of each basis keeps b <= 1.
     """
-    ms = _checked(measurements)
-    n = len(ms)
-    d = ms[0].dim
-    overlaps = [np.abs(ms[m].basis.conj() @ ms[m + 1].basis.T) ** 2 for m in range(n - 1)]
-    first_max = overlaps[0].max(axis=0)  # max_{i1} c(u1_{i1}, u2_{i2})
-    best = 0.0
-    for i_last in range(d):
-        total = 0.0
-        for mid in itertools.product(range(d), repeat=max(n - 2, 0)):
-            idx = (*mid, i_last)  # (i_2, ..., i_N)
-            term = first_max[idx[0]]
-            for m in range(1, n - 1):
-                term *= overlaps[m][idx[m - 1], idx[m]]
-            total += term
-        best = max(best, total)
-    return float(min(best, 1.0))
-
-
-def _lmf_raw(ms: list[ProjectiveMeasurement], state_entropy: float) -> float:
-    return (len(ms) - 1) * state_entropy - math.log2(lmf_chain_coefficient(ms))
+    return _chain_coefficient(as_measurements(measurements, minimum=2))
 
 
 def lmf_bound(measurements, rho) -> float:
     """Chained bound (N-1) S(rho) - log2 b; sensitive to measurement order."""
-    ms = _checked(measurements)
-    return max(0.0, _lmf_raw(ms, von_neumann_entropy(rho)))
+    ms = as_measurements(measurements, minimum=2)
+    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(_chain_coefficient(ms)))
 
 
 def lmf_bound_best_ordering(measurements, rho) -> float:
     """Maximum of the lmf bound over all orderings of the measurements.
 
     The entropy sum is permutation-invariant, so every ordering yields a
-    valid bound and the maximum is the tightest.  Factorial search,
+    valid bound; the tightest uses the smallest b.  Factorial search,
     limited to MAX_ORDERING_SEARCH measurements.
     """
-    ms = _checked(measurements)
+    ms = as_measurements(measurements, minimum=2)
     if len(ms) > MAX_ORDERING_SEARCH:
         raise CapacityError(
             f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {len(ms)}"
         )
-    s = von_neumann_entropy(rho)
-    best = -math.inf
-    for perm in itertools.permutations(ms):
-        best = max(best, _lmf_raw(list(perm), s))
-    return max(0.0, best)
+    b = min(_chain_coefficient(list(perm)) for perm in itertools.permutations(ms))
+    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(b))
 
 
 @dataclass(frozen=True)
@@ -164,7 +150,7 @@ class MajorizationProfile:
 
 def rpz_profile(measurements) -> MajorizationProfile:
     """Compute the subset-norm profile of the pooled measurement vectors."""
-    ms = _checked(measurements, minimum=1)
+    ms = as_measurements(measurements, minimum=1)
     pool = np.concatenate([m.basis for m in ms], axis=0)
     n = pool.shape[0]
     if n > MAX_POOL_VECTORS:
@@ -233,7 +219,7 @@ def bound_report(measurements, rho, *, slack: float = 1e-9) -> BoundReport:
     best-ordering lmf variant is included for up to MAX_ORDERING_SEARCH
     measurements (None beyond that) and participates in the check.
     """
-    ms = _checked(measurements)
+    ms = as_measurements(measurements, minimum=2)
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ValidationError(f"slack must be a finite non-negative float, got {slack!r}")
     breakdown = entropy_sum(ms, rho)

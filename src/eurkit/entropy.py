@@ -6,15 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    ATOL,
-    DATA_PSD_TOL,
-    ProjectiveMeasurement,
-    ValidationError,
-    as_density_matrix,
-    born_probabilities,
-    hermitian_eigen,
-)
+from .linalg import ATOL, ValidationError, as_density_matrix, as_measurements, born_probabilities
 
 
 def _entropy_of_clamped(values: np.ndarray) -> float:
@@ -52,7 +44,7 @@ def binary_entropy(a: float) -> float:
     return _entropy_of_clamped(np.array([x, 1.0 - x]))
 
 
-def von_neumann_entropy(rho, *, psd_tol: float = DATA_PSD_TOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda log2 lambda over the spectrum of rho.
 
     Accepts a DensityOperator or a raw Hermitian unit-trace array whose
@@ -60,8 +52,7 @@ def von_neumann_entropy(rho, *, psd_tol: float = DATA_PSD_TOL) -> float:
     clamped to zero before the entropy (no renormalization, so the value
     reflects the matrix exactly as given).
     """
-    m = as_density_matrix(rho, psd_tol=psd_tol)
-    vals, _ = hermitian_eigen(m)
+    vals = np.linalg.eigvalsh(as_density_matrix(rho))
     return _entropy_of_clamped(np.clip(vals, 0.0, None))
 
 
@@ -86,14 +77,6 @@ class EntropyBreakdown:
 
 def entropy_sum(measurements, rho) -> EntropyBreakdown:
     """Sum of measurement entropies sum_m H(M_m) for one state, in bits."""
-    ms = list(measurements)
-    if not ms:
-        raise ValidationError("entropy_sum requires at least one measurement")
-    for m in ms:
-        if not isinstance(m, ProjectiveMeasurement):
-            raise ValidationError("entropy_sum expects ProjectiveMeasurement instances")
-    dims = {m.dim for m in ms}
-    if len(dims) != 1:
-        raise ValidationError("measurements must share one dimension")
+    ms = as_measurements(measurements, minimum=1)
     pairs = tuple((m.label, shannon_entropy(born_probabilities(m, rho))) for m in ms)
     return EntropyBreakdown(per_measurement=pairs, total=float(sum(h for _, h in pairs)))

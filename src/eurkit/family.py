@@ -16,7 +16,8 @@ import numpy as np
 
 from .bounds import lmf_bound, rpz_bound, scb_bound
 from .entropy import binary_entropy, entropy_sum
-from .linalg import DensityOperator, ProjectiveMeasurement, ValidationError
+from .documents import builtin_state
+from .linalg import ProjectiveMeasurement, ValidationError
 
 GRID_POINTS_DEFAULT = 101
 
@@ -44,13 +45,6 @@ def build_family(a: float) -> list[ProjectiveMeasurement]:
         "M3",
     )
     return [m1, m2, m3]
-
-
-def reference_states() -> list[tuple[str, DensityOperator]]:
-    """The two states swept by default: |0> ('zero') and |-1> ('minus1')."""
-    zero = DensityOperator.from_ket([1.0, 0.0, 0.0])
-    minus1 = DensityOperator.from_ket([0.0, 1.0, 0.0])
-    return [("zero", zero), ("minus1", minus1)]
 
 
 def entropy_total_closed_form(a: float, state_label: str) -> float:
@@ -84,14 +78,16 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
     """Evaluate entropy totals and bounds over a grid of family parameters.
 
     Grid points are visited in the order given; states are sorted by
-    label within each point, one row per (a, state) pair.  The rpz bound
-    is state-independent and computed once per grid point.
+    label within each point, one row per (a, state) pair; the default
+    states are the built-in 'zero' and 'minus1'.  The rpz bound is
+    state-independent and computed once per grid point.
     """
     a_values = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
         raise ValidationError("sweep grid must be a non-empty 1-d array")
-    pairs = reference_states() if states is None else list(states)
-    pairs = sorted(pairs, key=lambda kv: kv[0])
+    if states is None:
+        states = [(label, builtin_state(label)) for label in ("zero", "minus1")]
+    pairs = sorted(states, key=lambda kv: kv[0])
     rows = []
     for a in (float(v) for v in a_values):
         ms = build_family(a)

@@ -158,6 +158,19 @@ class ProjectiveMeasurement:
         return cls(np.array([as_state_vector(v, name=f"{label}[{i}]") for i, v in enumerate(vectors)]), label)
 
 
+def as_measurements(measurements, *, minimum: int) -> list[ProjectiveMeasurement]:
+    """Validate a list of at least ``minimum`` projective measurements of one dimension."""
+    ms = list(measurements)
+    if len(ms) < minimum:
+        raise ValidationError(f"need at least {minimum} measurement(s), got {len(ms)}")
+    for m in ms:
+        if not isinstance(m, ProjectiveMeasurement):
+            raise ValidationError("expected ProjectiveMeasurement instances")
+    if len({m.dim for m in ms}) != 1:
+        raise ValidationError("measurements must share one dimension")
+    return ms
+
+
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
@@ -200,19 +213,6 @@ def overlap_c(m1: ProjectiveMeasurement, m2: ProjectiveMeasurement) -> float:
     c = float(np.max(np.abs(m1.basis.conj() @ m2.basis.T) ** 2))
     # Cauchy-Schwarz caps c at 1; shave representation noise.
     return min(c, 1.0)
-
-
-def largest_singular_value_sq(vectors) -> float:
-    """Largest squared singular value of a stack of kets (rows).
-
-    Computed as the top eigenvalue of the Gram matrix, which is cheaper
-    than an SVD for short wide stacks and exact for our subset sizes.
-    """
-    rows = as_complex_array(vectors, name="vectors")
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValidationError("expected a non-empty 2-d stack of kets")
-    gram = rows.conj() @ rows.T
-    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def matrix_sqrt_psd(matrix) -> np.ndarray:

@@ -103,21 +103,6 @@ def apply_pulses(pulses, initial=None) -> np.ndarray:
     return psi
 
 
-def rabi_populations(channel: Channel, initial, angles) -> np.ndarray:
-    """Population remaining in |0> after a single rotation of each angle.
-
-    ``initial`` may be None for the ground state |0>.
-    """
-    thetas = np.asarray(angles, dtype=float)
-    if thetas.ndim != 1 or not np.all(np.isfinite(thetas)) or np.any(thetas < 0):
-        raise ValidationError("angles must be a 1-d array of non-negative reals")
-    out = np.empty(thetas.size)
-    for i, th in enumerate(thetas):
-        psi = apply_pulses([Pulse(channel, float(th))], initial)
-        out[i] = abs(psi[0]) ** 2
-    return out
-
-
 def calibrated_angle(multiple: float) -> float:
     """Rotation angle for a nominal pulse length printed as a pi multiple.
 

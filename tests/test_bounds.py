@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import eurkit.bounds
 from eurkit.bounds import (
     MAX_ORDERING_SEARCH,
+    MAX_SCB_MEASUREMENTS,
     BoundReport,
     bound_report,
     lmf_bound,
@@ -40,6 +42,47 @@ GOLDEN_SQ = (1.0 + math.sqrt(5.0)) / 2.0 + 1.0  # phi^2 = phi + 1
 MINUS1 = DensityOperator.from_ket([0, 1, 0])
 ZERO = DensityOperator.from_ket([1, 0, 0])
 
+
+def squared_overlaps(m1, m2):
+    return np.abs(m1.basis.conj() @ m2.basis.T) ** 2
+
+
+def scb_oracle(ms, s):
+    """Unclamped scb straight from the definition: every ordered chain."""
+    n = len(ms)
+    best = n * s
+    for k in range(2, n + 1):
+        for chain in itertools.permutations(range(n), k):
+            prod = 1.0
+            for t in range(k):
+                c = float(np.max(squared_overlaps(ms[chain[t]], ms[chain[(t + 1) % k]])))
+                prod *= min(c, 1.0)
+            best = max(best, -0.5 * math.log2(prod) + (n - k / 2) * s)
+    return best
+
+
+def lmf_coefficient_oracle(ms):
+    """The lmf coefficient b by exhaustive iteration over index tuples."""
+    n, d = len(ms), ms[0].dim
+    ov = [squared_overlaps(ms[m], ms[m + 1]) for m in range(n - 1)]
+    first_max = ov[0].max(axis=0)  # max_{i1} c(u1_{i1}, u2_{i2})
+    best = 0.0
+    for i_last in range(d):
+        total = 0.0
+        for mid in itertools.product(range(d), repeat=n - 2):
+            idx = (*mid, i_last)  # (i_2, ..., i_N)
+            term = first_max[idx[0]]
+            for m in range(1, n - 1):
+                term *= ov[m][idx[m - 1], idx[m]]
+            total += term
+        best = max(best, total)
+    return min(best, 1.0)
+
+
+def random_set(rng, d, n):
+    return [random_basis(rng, dim=d, label=f"R{i}") for i in range(n)]
+
+
 FOURIER_QUTRIT = np.array(
     [[1, 1, 1], [1, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)], [1, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)]]
 ) / np.sqrt(3.0)
@@ -72,19 +115,13 @@ class TestScbBound:
             assert abs(scb_bound(ms, rho) - 1.0) < BOUND_TOL
 
     def test_matches_exhaustive_chain_oracle(self, rng):
-        # independent brute force straight from the definition
-        ms = [random_basis(rng, label=f"R{i}") for i in range(3)]
-        rho = random_density(rng)
-        s = von_neumann_entropy(rho)
-        c = lambda i, j: float(np.max(np.abs(ms[i].basis.conj() @ ms[j].basis.T) ** 2))
-        best = 3 * s
-        for k in (2, 3):
-            for chain in itertools.permutations(range(3), k):
-                prod = 1.0
-                for t in range(k):
-                    prod *= min(c(chain[t], chain[(t + 1) % k]), 1.0)
-                best = max(best, -0.5 * math.log2(prod) + (3 - k / 2) * s)
-        assert abs(scb_bound(ms, rho) - max(best, 0.0)) < 1e-12
+        for n in (2, 3, 4, 5):
+            for d in (2, 3, 4):
+                ms = random_set(rng, d, n)
+                # a pure state leaves the longest chains to decide the bound
+                for rho in (random_density(rng, d), random_density(rng, d, pure=True)):
+                    expected = max(scb_oracle(ms, von_neumann_entropy(rho)), 0.0)
+                    assert abs(scb_bound(ms, rho) - expected) < 1e-12
 
     def test_reduces_to_mu_for_pairs(self, rng):
         for _ in range(30):
@@ -102,6 +139,16 @@ class TestScbBound:
     def test_rejects_single_measurement(self, rng):
         with pytest.raises(ValidationError):
             scb_bound([random_basis(rng)], MINUS1)
+
+    def test_capacity_refused_before_work(self, rng, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("scb started work past its cap")
+
+        monkeypatch.setattr(eurkit.bounds, "overlap_c", no_work)
+        monkeypatch.setattr(eurkit.bounds, "von_neumann_entropy", no_work)
+        ms = [random_basis(rng, dim=2)] * (MAX_SCB_MEASUREMENTS + 1)
+        with pytest.raises(CapacityError):
+            scb_bound(ms, DensityOperator.from_ket([1, 0]))
 
 
 class TestLmfBound:
@@ -121,16 +168,10 @@ class TestLmfBound:
         assert abs(lmf_bound(ms, MINUS1) - LMF_AT_HALF) < 1e-12
 
     def test_chain_coefficient_matches_nested_loop_oracle(self, rng):
-        ms = [random_basis(rng, label=f"R{i}") for i in range(3)]
-        d = 3
-        ov = [np.abs(ms[m].basis.conj() @ ms[m + 1].basis.T) ** 2 for m in range(2)]
-        best = 0.0
-        for i3 in range(d):
-            total = 0.0
-            for i2 in range(d):
-                total += max(ov[0][i1, i2] for i1 in range(d)) * ov[1][i2, i3]
-            best = max(best, total)
-        assert abs(lmf_chain_coefficient(ms) - best) < 1e-12
+        for _ in range(40):
+            d = int(rng.integers(2, 5))
+            ms = random_set(rng, d, int(rng.integers(2, 7)))
+            assert abs(lmf_chain_coefficient(ms) - lmf_coefficient_oracle(ms)) < 1e-12
 
     def test_chain_coefficient_range(self, rng):
         for _ in range(15):
@@ -149,6 +190,13 @@ class TestLmfBound:
             ms = [random_basis(rng, label=f"R{i}") for i in range(3)]
             rho = random_density(rng)
             assert lmf_bound_best_ordering(ms, rho) >= lmf_bound(ms, rho) - 1e-12
+
+    def test_best_ordering_is_max_over_permutations(self, rng):
+        for n in (2, 3, 4, 5):
+            ms = random_set(rng, 3, n)
+            rho = random_density(rng)
+            expected = max(lmf_bound(list(perm), rho) for perm in itertools.permutations(ms))
+            assert abs(lmf_bound_best_ordering(ms, rho) - expected) < 1e-12
 
     def test_best_ordering_at_half(self):
         assert abs(lmf_bound_best_ordering(build_family(0.5), MINUS1) - 1.0) < BOUND_TOL

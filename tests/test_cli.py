@@ -5,6 +5,7 @@ payloads, and stderr diagnostics are asserted together; one subprocess
 test confirms the module entry point is wired up.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -323,3 +324,31 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entropy_total"] == 1.0
+
+
+# SHA-256 of stdout, recorded before the bound kernels were rewritten into
+# their coefficient form; any change to the rendered numbers shows here.
+GOLDEN_STDOUT_SHA256 = {
+    ("sweep",): "1376c3fef4e2edc961822c0babe4b07e7c3819ad25f6d37971e46a9db7f00118",
+    ("bounds", "--family-a", "0", "--state", "zero"): "d7591151d472c506622db1f52f5ea7ea3569fba591e13baf9d5e6ceb49addfd8",
+    ("bounds", "--family-a", "0", "--state", "minus1"): "a92124ac9bff55d0c09a135b5623208ffba73da3f46117667e00afa73ae75bb0",
+    ("bounds", "--family-a", "0", "--state", "mixed"): "bb659363fb358736d4990e53166cc43d10224ffb7c758b482682f074cc1703bb",
+    ("bounds", "--family-a", "0.3", "--state", "zero"): "627a91f2342d206f15df3ee82ff240826558cea77d2ddf9ba3403106fef741d5",
+    ("bounds", "--family-a", "0.3", "--state", "minus1"): "a7ed0f1aca90c8caffdd0f3bd2c3ca500fc788f43a53cebf500140d6a8c66e6a",
+    ("bounds", "--family-a", "0.3", "--state", "mixed"): "cd52628e94afdb1b5975dea7aaffe456da63741ef64eadec8a73cefe22224561",
+    ("bounds", "--family-a", "0.5", "--state", "zero"): "eb50f2f16b5536dd012eee41647bcc7c893408ca83084ede6e84f6696103d4d7",
+    ("bounds", "--family-a", "0.5", "--state", "minus1"): "afa3f114a34e67bd2b681406e348a8058fd7f26698479e24477677cc59bda2f1",
+    ("bounds", "--family-a", "0.5", "--state", "mixed"): "50e1f538528569733293aa342c3a8cfea024b72dd7ab2428a076d3cb03b96319",
+    ("bounds", "--family-a", "1", "--state", "zero"): "7c8708bdfe3f9670d632c450cefd2342f774c2961d1421bc127f2a4fe87134e7",
+    ("bounds", "--family-a", "1", "--state", "minus1"): "5a23e92dd6372caa3ddef4ae164c1182fdfc561c69cce3ecf3cda2a784d635da",
+    ("bounds", "--family-a", "1", "--state", "mixed"): "84cb7a541e56b712fc68176c3862aa617d0f85891b658d1498b6aeb9d029b67f",
+    ("tomo", "--record", "reference", "--target", "reference"): "9e1247939ede3a37f767745981857e724b4b8a3c263b00b924be77e42814f26c",
+    ("pulse-verify",): "067bce29501c8f5b96b921b2c418165df0bbcdcef10a20fbbc8018335a0732b5",
+}
+
+
+def test_golden_stdout_digests(capsys):
+    for argv, digest in GOLDEN_STDOUT_SHA256.items():
+        code, out, _ = run_cli(list(argv), capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from eurkit.documents import builtin_state
 from eurkit.entropy import binary_entropy, entropy_sum
 from eurkit.family import (
     GRID_POINTS_DEFAULT,
@@ -11,7 +12,6 @@ from eurkit.family import (
     build_family,
     default_grid,
     entropy_total_closed_form,
-    reference_states,
     sweep,
 )
 from eurkit.linalg import ValidationError, ray_fidelity
@@ -48,17 +48,17 @@ class TestBuildFamily:
 
 class TestReferenceStates:
     def test_labels_and_purity(self):
-        states = reference_states()
-        assert [label for label, _ in states] == ["zero", "minus1"]
-        for _, rho in states:
+        assert [r.state_label for r in sweep([0.5])] == ["minus1", "zero"]
+        for label in ("zero", "minus1"):
+            rho = builtin_state(label)
             assert abs(rho.matrix.trace().real - 1.0) < 1e-12
             assert abs(rho.purity() - 1.0) < 1e-12
 
     def test_against_family_closed_forms(self):
         for a in (0.1, 0.4, 0.9):
             ms = build_family(a)
-            for label, rho in reference_states():
-                total = entropy_sum(ms, rho).total
+            for label in ("zero", "minus1"):
+                total = entropy_sum(ms, builtin_state(label)).total
                 assert abs(total - entropy_total_closed_form(a, label)) < CURVE_TOL
 
 

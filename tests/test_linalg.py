@@ -16,7 +16,6 @@ from eurkit.linalg import (
     as_state_vector,
     born_probabilities,
     hermitian_eigen,
-    largest_singular_value_sq,
     matrix_sqrt_psd,
     overlap_c,
     ray_fidelity,
@@ -101,32 +100,6 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestLargestSingularValueSq:
-    def test_single_unit_vector(self):
-        assert abs(largest_singular_value_sq([E0]) - 1.0) < EIG_TOL
-
-    def test_orthonormal_rows_give_one(self, rng):
-        for k in (1, 2, 3):
-            basis = random_basis(rng).basis
-            assert abs(largest_singular_value_sq(basis[:k]) - 1.0) < EIG_TOL
-
-    def test_two_identical_unit_vectors(self):
-        v = (E0 + E2) / np.sqrt(2.0)
-        assert abs(largest_singular_value_sq([v, v]) - 2.0) < EIG_TOL
-
-    def test_matches_svd(self, rng):
-        for _ in range(25):
-            rows = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            top = np.linalg.svd(rows, compute_uv=False)[0] ** 2
-            assert abs(largest_singular_value_sq(rows) - top) < 1e-9 * max(1.0, top)
-
-    def test_rejects_empty_and_non_2d(self):
-        with pytest.raises(ValidationError):
-            largest_singular_value_sq(E0)
-        with pytest.raises(ValidationError):
-            largest_singular_value_sq(np.zeros((0, 3)))
 
 
 class TestOverlapC:

