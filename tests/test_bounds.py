@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import eurkit.bounds
 from eurkit.bounds import (
     MAX_ORDERING_SEARCH,
+    MAX_POOL_VECTORS,
     MAX_SCB_MEASUREMENTS,
     BoundReport,
     bound_report,
@@ -77,6 +78,32 @@ def lmf_coefficient_oracle(ms):
             total += term
         best = max(best, total)
     return min(best, 1.0)
+
+
+def rpz_profile_oracle(ms):
+    """The rpz profile (s_coeffs, deltas) by exhaustive Gram-block search:
+    the largest eigenvalue of every k-subset's block of the pooled Gram
+    matrix, for every k."""
+    pool = np.concatenate([m.basis for m in ms], axis=0)
+    n = pool.shape[0]
+    gram = pool.conj() @ pool.T
+    gram = 0.5 * (gram + gram.conj().T)
+    s = np.empty(n)
+    for size in range(1, n + 1):
+        subsets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+            dtype=np.intp,
+        ).reshape(-1, size)
+        blocks = gram[subsets[:, :, None], subsets[:, None, :]]
+        s[size - 1] = float(np.max(np.linalg.eigvalsh(blocks)[:, -1]))
+    s = np.maximum.accumulate(s)
+    deltas = np.clip(np.diff(s), 0.0, None)
+    return tuple(float(x) for x in s), tuple(float(x) for x in deltas)
+
+
+def assert_profile_matches_oracle(ms):
+    prof = rpz_profile(ms)
+    assert (prof.s_coeffs, prof.deltas) == rpz_profile_oracle(ms)
 
 
 def random_set(rng, d, n):
@@ -241,13 +268,54 @@ class TestRpzProfile:
         assert all(d >= 0.0 for d in prof.deltas)
 
     def test_unitary_invariance(self, rng):
-        ms = [random_basis(rng, label=f"R{i}") for i in range(2)]
-        u = random_basis(rng).basis.conj().T
-        rotated = [ProjectiveMeasurement(m.basis @ u.T, m.label) for m in ms]
-        assert_allclose(rpz_profile(rotated).s_coeffs, rpz_profile(ms).s_coeffs, atol=1e-9)
+        # a global unitary, with the kets of each basis and the bases reordered
+        for d, n in ((2, 5), (3, 4), (4, 3)):
+            ms = random_set(rng, d, n)
+            u = random_basis(rng, dim=d).basis
+            moved = [
+                ProjectiveMeasurement(m.basis[rng.permutation(d)] @ u.T, m.label)
+                for m in (ms[j] for j in rng.permutation(n))
+            ]
+            base, prof = rpz_profile(ms), rpz_profile(moved)
+            assert_allclose(prof.s_coeffs, base.s_coeffs, rtol=0.0, atol=1e-12)
+            assert_allclose(prof.deltas, base.deltas, rtol=0.0, atol=1e-12)
 
-    def test_capacity_limit(self, rng):
-        ms = [random_basis(rng, label=f"R{i}") for i in range(9)]  # 27 > 24 pooled kets
+    def test_copies_of_one_basis_closed_form(self, rng):
+        # a k-subset of N copies of one basis peaks at min(k, N) copies of one ket
+        for d in (2, 3, 4):
+            m = random_basis(rng, dim=d)
+            for n in range(1, 12 // d + 1):
+                expected = [min(k, n) for k in range(1, d * n + 1)]
+                assert_allclose(rpz_profile([m] * n).s_coeffs, expected, rtol=0.0, atol=1e-12)
+
+    def test_family_grid_matches_gram_block_oracle(self):
+        for a in np.linspace(0.0, 1.0, 101):
+            assert_profile_matches_oracle(build_family(a))
+
+    def test_random_pools_match_gram_block_oracle(self, rng):
+        # every third pool repeats a basis: the tie-heavy case for the screen
+        for trial in range(36):
+            d = (2, 3, 4)[trial % 3]
+            ms = random_set(rng, d, int(rng.integers(1, 12 // d + 1)))
+            if trial % 9 < 3 and len(ms) > 1:
+                ms[-1] = ms[0]
+            assert_profile_matches_oracle(ms)
+
+    def test_near_orthonormal_pools_match_gram_block_oracle(self, rng):
+        # kets with squared norm 1 + 0.99e-9 still pass the orthonormality
+        # check, but the frame sum of N bases is off N * 1 by about N * 1e-9
+        for d in (2, 3, 4):
+            stretched = random_basis(rng, dim=d).basis * math.sqrt(1.0 + 0.99e-9)
+            ms = [ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, 12 // d - 2)
+            assert_profile_matches_oracle(ms[::-1])
+
+    def test_capacity_limit(self, rng, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("rpz started work past its cap")
+
+        ms = [random_basis(rng, label=f"R{i}") for i in range(9)]  # 27 pooled kets
+        assert 27 > MAX_POOL_VECTORS
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
         with pytest.raises(CapacityError):
             rpz_profile(ms)
 
@@ -273,6 +341,7 @@ class TestRpzBound:
         # bound 2 (a complete basis plus one more ket)
         g = 1.0 / math.sqrt(2.0)
         assert_allclose(prof.s_coeffs, (1.0, 1.0 + g, 2.0, 2.0), atol=1e-9)
+        assert_profile_matches_oracle([comp, had])
         expected = -(g * math.log2(g) + (1.0 - g) * math.log2(1.0 - g))
         assert abs(rpz_bound([comp, had]) - expected) < 1e-9
 
