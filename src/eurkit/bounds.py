@@ -15,9 +15,9 @@ All reported bounds are clamped below at 0 (a negative lower bound on
 entropies is vacuous).  Entropies are in bits throughout.  The scb
 chains and the lmf orderings are enumerated exhaustively.  Every rpz
 subset is screened on its d x d frame operator, and only the
-near-maximal ones are confirmed on their Gram blocks (see
-``rpz_profile``).  All three searches are capped instead of falling back
-to heuristics.
+near-maximal ones are confirmed on their Gram blocks, for a whole stack
+of measurement sets at once (see ``rpz_profiles``).  All three searches
+are capped instead of falling back to heuristics.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from .linalg import (
 # basis, whose ties make the Gram-block confirmation the heaviest.
 MAX_POOL_VECTORS = 24
 # The rpz screen diagonalizes 2^SCREEN_BITS d x d frame operators per
-# eigvalsh call; the confirmation gathers at most CONFIRM_ENTRIES Gram-block
-# entries (8 MB) per call, 2^15 blocks of size 4.
+# eigvalsh call, from as many sets of a stack as fit; the confirmation
+# gathers at most CONFIRM_ENTRIES Gram-block entries (8 MB) per call, 2^15
+# blocks of size 4, across the sets of the stack.
 SCREEN_BITS = 15
 CONFIRM_ENTRIES = 1 << 19
 # Best-ordering search is factorial in the number of measurements.
@@ -149,7 +150,7 @@ class MajorizationProfile:
     ``s_coeffs[k]`` is the largest Gram eigenvalue over all (k+1)-subsets
     of the pooled measurement kets, so S_0 = 1 for normalized kets and
     the sequence climbs to the frame bound N.  ``deltas[i]`` is
-    S_{i+1} - S_i (clamped at >= 0); the vector (S_0, delta_1, ...)
+    S_{i+1} - S_i (>= 0: S is a running max); the vector (S_0, delta_1, ...)
     majorizes every pooled outcome distribution.
     """
 
@@ -159,44 +160,88 @@ class MajorizationProfile:
     def majorizing_vector(self) -> tuple[float, ...]:
         return (self.s_coeffs[0], *self.deltas)
 
+    def entropy_bound(self) -> float:
+        """-S_0 log2 S_0 - sum_i delta_i log2 delta_i, clamped at 0; the S_0
+        term vanishes for normalized bases (S_0 = 1)."""
+        v = np.asarray(self.majorizing_vector())
+        v = v[v > 0.0]
+        return max(0.0, float(-np.sum(v * np.log2(v))))
+
 
 def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame operator sum_{i in S} |v_i><v_i| and size |S| of every subset S
-    of ``kets``, indexed by bitmask (bit i set when ket i is in S)."""
-    d = kets.shape[1]
-    frames = np.zeros((1, d, d), dtype=complex)
-    sizes = np.zeros(1, dtype=np.uint8)
-    for v in kets:
-        frames = np.concatenate([frames, frames + np.outer(v, v.conj())])
-        sizes = np.concatenate([sizes, sizes + 1])
+    """Frame operator sum_{i in S} |v_i><v_i| of every subset S of the kets
+    ``kets[s]`` of each set s, indexed by (s, bitmask) with bit i set when
+    ket i is in S, and the size |S| of each bitmask."""
+    n_sets, k, d = kets.shape
+    frames = np.zeros((n_sets, 1 << k, d, d), dtype=complex)
+    sizes = np.zeros(1 << k, dtype=np.uint8)
+    for i in range(k):
+        v, m = kets[:, i], 1 << i
+        np.add(frames[:, :m], v[:, None, :, None] * v.conj()[:, None, None, :], out=frames[:, m : 2 * m])
+        np.add(sizes[:m], 1, out=sizes[m : 2 * m])
     return frames, sizes
 
 
-def _screen(pool: np.ndarray, n_bases: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest frame-operator eigenvalue and size of every subset of the pool.
+def _screen(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest frame-operator eigenvalue of every subset of each pool,
+    indexed (set, bitmask), and the size of each bitmask.
 
-    Only the subsets without the last ket are diagonalized, 2^SCREEN_BITS
-    d x d matrices per eigvalsh call; complete bases sum to N * 1, so the
+    Only the subsets without the last ket are diagonalized, one eigvalsh
+    call per value of the high bits; complete bases sum to N * 1, so the
     complement of S gets lambda_max = N - lambda_min(F_S).
     """
-    n = pool.shape[0]
+    n_sets, n, _ = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
-    low_frames, low_sizes = _subset_frames(pool[:low])
-    high_frames, high_sizes = _subset_frames(pool[low:half])
+    low_frames, low_sizes = _subset_frames(pools[:, :low])
+    high_frames, high_sizes = _subset_frames(pools[:, low:half])
     full = (1 << n) - 1
-    lam = np.empty(full + 1)
-    for h, high in enumerate(high_frames):
-        w = np.linalg.eigvalsh(low_frames + high)
+    lam = np.empty((n_sets, full + 1))
+    for h in range(high_frames.shape[1]):
+        # h = 0 is the empty high subset, whose zero frame would add nothing:
+        # the sums start from +0.0, so no entry is -0.0.
+        w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
         start, stop = h << low, (h + 1) << low
-        lam[start:stop] = w[:, -1]
-        lam[full - stop + 1 : full - start + 1] = n_bases - w[::-1, 0]
+        lam[:, start:stop] = w[..., -1]
+        lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
     sizes = (high_sizes[:, None] + low_sizes[None, :]).ravel()
     return lam, np.concatenate([sizes, n - sizes[::-1]])
 
 
-def rpz_profile(measurements) -> MajorizationProfile:
-    """Compute the subset-norm profile of the pooled measurement vectors.
+def _stack_profiles(pools: np.ndarray, n_bases: int) -> list[MajorizationProfile]:
+    """Profiles of a stack of pools (set, ket, component), all screened in
+    one ``_screen`` call and confirmed size by size across the stack."""
+    n_sets, n, _ = pools.shape
+    grams = pools.conj() @ pools.transpose(0, 2, 1)
+    grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
+    frames = pools.transpose(0, 2, 1) @ pools.conj()
+    frame_dev = np.max(np.abs(np.linalg.eigvalsh(frames) - n_bases), axis=1)
+    margin = ATOL + 2.0 * frame_dev
+    lam, sizes = _screen(pools, n_bases)
+    s = np.empty((n_sets, n))
+    for size in range(1, n + 1):
+        masks = np.flatnonzero(sizes == size)
+        screened = lam[:, masks]
+        owners, picks = np.nonzero(screened >= (screened.max(axis=1) - margin)[:, None])
+        masks = masks[picks]
+        best = np.full(n_sets, -np.inf)
+        chunk = CONFIRM_ENTRIES // size**2
+        for c in range(0, masks.size, chunk):
+            bits = (masks[c : c + chunk, None] >> np.arange(n)) & 1
+            subsets = np.nonzero(bits)[1].reshape(-1, size)
+            owner = owners[c : c + chunk]
+            blocks = grams[owner[:, None, None], subsets[:, :, None], subsets[:, None, :]]
+            np.maximum.at(best, owner, np.linalg.eigvalsh(blocks)[:, -1])
+        s[:, size - 1] = best
+    # Running max removes 1e-16 dips, so each profile is non-decreasing and
+    # its increments are >= 0 exactly.
+    s = np.maximum.accumulate(s, axis=1)
+    deltas = np.diff(s, axis=1)
+    return [MajorizationProfile(tuple(row.tolist()), tuple(inc.tolist())) for row, inc in zip(s, deltas)]
+
+
+def rpz_profiles(sets) -> list[MajorizationProfile]:
+    """Subset-norm profile of the pooled vectors of each measurement set.
 
     S_{k-1} is the largest eigenvalue of the Gram block of any k-subset S
     of the n pooled kets.  That block shares its nonzero spectrum with the
@@ -216,52 +261,46 @@ def rpz_profile(measurements) -> MajorizationProfile:
     search.  The frame operators alone would not be: in the flat tail they
     give exactly N where the blocks give N plus rounding noise, and the
     -delta log2 delta terms of ``rpz_bound`` turn that noise into changes
-    of about 1e-13.  Limited to MAX_POOL_VECTORS pooled kets.
+    of about 1e-13.
+
+    The sets are stacked: every set must have the same number N of bases
+    of the same dimension d.  One screen covers as many sets as fit in
+    2^SCREEN_BITS frame operators per eigvalsh call, and each confirmation
+    call gathers the blocks of all those sets, at most CONFIRM_ENTRIES
+    entries per call; each set keeps its own margin.  eigvalsh diagonalizes
+    every matrix of a batch on its own, so a set's profile does not depend
+    on the stack it came in.  Limited to MAX_POOL_VECTORS pooled kets.
     """
-    ms = as_measurements(measurements, minimum=1)
-    pool = np.concatenate([m.basis for m in ms], axis=0)
-    n = pool.shape[0]
+    stack = [as_measurements(ms, minimum=1) for ms in sets]
+    shapes = {(len(ms), ms[0].dim) for ms in stack}
+    if len(shapes) > 1:
+        raise ValidationError(f"stacked sets must share (N, d), got {sorted(shapes)}")
+    if not stack:
+        return []
+    ((n_bases, d),) = shapes
+    n = n_bases * d
     if n > MAX_POOL_VECTORS:
         raise CapacityError(
             f"majorization profile limited to {MAX_POOL_VECTORS} pooled vectors, got {n}"
         )
-    gram = pool.conj() @ pool.T
-    gram = 0.5 * (gram + gram.conj().T)
-    frame_dev = np.max(np.abs(np.linalg.eigvalsh(pool.T @ pool.conj()) - len(ms)))
-    margin = ATOL + 2.0 * frame_dev
-    lam, sizes = _screen(pool, len(ms))
-    s = np.empty(n)
-    for size in range(1, n + 1):
-        masks = np.flatnonzero(sizes == size)
-        screened = lam[masks]
-        masks = masks[screened >= screened.max() - margin]
-        best = -np.inf
-        chunk = CONFIRM_ENTRIES // size**2
-        for c in range(0, masks.size, chunk):
-            bits = (masks[c : c + chunk, None] >> np.arange(n)) & 1
-            subsets = np.nonzero(bits)[1].reshape(-1, size)
-            blocks = gram[subsets[:, :, None], subsets[:, None, :]]
-            best = max(best, np.max(np.linalg.eigvalsh(blocks)[:, -1]))
-        s[size - 1] = float(best)
-    # Running max removes 1e-16 dips so the profile is non-decreasing.
-    s = np.maximum.accumulate(s)
-    deltas = np.diff(s)
-    if deltas.size and deltas.min() < -ATOL:
-        raise ValidationError(f"majorization increment {deltas.min():.3e} below -{ATOL:g}")
-    deltas = np.clip(deltas, 0.0, None)
-    return MajorizationProfile(tuple(float(x) for x in s), tuple(float(x) for x in deltas))
+    per_call = max(1, (1 << SCREEN_BITS) >> (n - 1))
+    profiles = []
+    for start in range(0, len(stack), per_call):
+        pools = np.array([np.concatenate([m.basis for m in ms]) for ms in stack[start : start + per_call]])
+        profiles.extend(_stack_profiles(pools, n_bases))
+    return profiles
+
+
+def rpz_profile(measurements) -> MajorizationProfile:
+    """Subset-norm profile of one measurement set: ``rpz_profiles`` of a
+    stack of one."""
+    return rpz_profiles([measurements])[0]
 
 
 def rpz_bound(measurements) -> float:
-    """State-independent majorization bound.
-
-    -S_0 log2 S_0 - sum_i delta_i log2 delta_i over the clamped profile
-    increments; the S_0 term vanishes for normalized bases (S_0 = 1).
-    """
-    profile = rpz_profile(measurements)
-    v = np.asarray(profile.majorizing_vector())
-    v = v[v > 0.0]
-    return max(0.0, float(-np.sum(v * np.log2(v))))
+    """State-independent majorization bound of one measurement set, from
+    its profile (``MajorizationProfile.entropy_bound``)."""
+    return rpz_profile(measurements).entropy_bound()
 
 
 @dataclass(frozen=True)

@@ -63,12 +63,13 @@ def as_state_vector(value, *, name: str = "state") -> np.ndarray:
 def _check_hermitian(matrix: np.ndarray, *, name: str) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"{name} must be a square matrix")
-    if not np.allclose(matrix, matrix.conj().T, rtol=0.0, atol=ATOL):
-        dev = float(np.max(np.abs(matrix - matrix.conj().T)))
+    adjoint = matrix.conj().T
+    dev = float(np.max(np.abs(matrix - adjoint), initial=0.0))
+    if dev > ATOL:
         raise ValidationError(f"{name} is not Hermitian within tolerance (dev {dev:.3e})")
     # Symmetrize away representation-level asymmetry below tolerance so the
     # eigensolver sees an exactly Hermitian operator.
-    return 0.5 * (matrix + matrix.conj().T)
+    return 0.5 * (matrix + adjoint)
 
 
 def as_density_matrix(value, *, psd_tol: float = DATA_PSD_TOL, name: str = "rho") -> np.ndarray:
@@ -141,9 +142,8 @@ class ProjectiveMeasurement:
         b = as_complex_array(self.basis, name=f"{self.label} basis")
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValidationError(f"{self.label} basis must be d kets of dimension d")
-        gram = b.conj() @ b.T
-        if not np.allclose(gram, np.eye(b.shape[0]), rtol=0.0, atol=ATOL):
-            dev = float(np.max(np.abs(gram - np.eye(b.shape[0]))))
+        dev = float(np.max(np.abs(b.conj() @ b.T - np.eye(b.shape[0])), initial=0.0))
+        if dev > ATOL:
             raise ValidationError(f"{self.label} basis is not orthonormal (dev {dev:.3e})")
         b = b.copy()
         b.flags.writeable = False

@@ -18,6 +18,7 @@ from eurkit.bounds import (
     mu_bound,
     rpz_bound,
     rpz_profile,
+    rpz_profiles,
     scb_bound,
 )
 from eurkit.entropy import entropy_sum, von_neumann_entropy
@@ -106,8 +107,21 @@ def assert_profile_matches_oracle(ms):
     assert (prof.s_coeffs, prof.deltas) == rpz_profile_oracle(ms)
 
 
+def assert_stack_matches_oracle(sets):
+    stacked = rpz_profiles(sets)
+    assert stacked == [rpz_profile(ms) for ms in sets]
+    assert [(p.s_coeffs, p.deltas) for p in stacked] == [rpz_profile_oracle(ms) for ms in sets]
+
+
 def random_set(rng, d, n):
     return [random_basis(rng, dim=d, label=f"R{i}") for i in range(n)]
+
+
+def near_orthonormal_set(rng, d):
+    # kets with squared norm 1 + 0.99e-9 still pass the orthonormality
+    # check, but the frame sum of N bases is off N * 1 by about N * 1e-9
+    stretched = random_basis(rng, dim=d).basis * math.sqrt(1.0 + 0.99e-9)
+    return ([ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, 12 // d - 2))[::-1]
 
 
 FOURIER_QUTRIT = np.array(
@@ -302,12 +316,8 @@ class TestRpzProfile:
             assert_profile_matches_oracle(ms)
 
     def test_near_orthonormal_pools_match_gram_block_oracle(self, rng):
-        # kets with squared norm 1 + 0.99e-9 still pass the orthonormality
-        # check, but the frame sum of N bases is off N * 1 by about N * 1e-9
         for d in (2, 3, 4):
-            stretched = random_basis(rng, dim=d).basis * math.sqrt(1.0 + 0.99e-9)
-            ms = [ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, 12 // d - 2)
-            assert_profile_matches_oracle(ms[::-1])
+            assert_profile_matches_oracle(near_orthonormal_set(rng, d))
 
     def test_capacity_limit(self, rng, monkeypatch):
         def no_work(*args, **kwargs):
@@ -322,6 +332,68 @@ class TestRpzProfile:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             rpz_profile([])
+
+
+class TestRpzProfiles:
+    def test_family_grid_as_one_stack(self):
+        assert_stack_matches_oracle([build_family(a) for a in np.linspace(0.0, 1.0, 101)])
+
+    def test_random_stacks(self, rng):
+        # about 30% of the sets repeat a basis: the tie-heavy case for the screen
+        for trial in range(18):
+            d = (2, 3, 4)[trial % 3]
+            n_bases = int(rng.integers(1, 12 // d + 1))
+            sets = [random_set(rng, d, n_bases) for _ in range(int(rng.integers(1, 5)))]
+            for ms in sets:
+                if n_bases > 1 and rng.random() < 0.3:
+                    ms[-1] = ms[0]
+            assert_stack_matches_oracle(sets)
+
+    def test_each_set_keeps_its_own_margin(self, rng):
+        # exact sets first and last, so a margin taken from the stack's
+        # first or last set, or its smallest, misses the near-orthonormal maxima
+        for d in (2, 3, 4):
+            exact = random_set(rng, d, 12 // d)
+            sets = [exact, near_orthonormal_set(rng, d), near_orthonormal_set(rng, d), exact]
+            assert_stack_matches_oracle(sets)
+
+    def test_screen_split_over_eigvalsh_calls(self, monkeypatch):
+        # 2^15 frame operators per call hold 128 sets of 9 kets; 129 take two
+        screen_calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            if a.ndim == 4:
+                screen_calls.append(a.shape[:2])
+            return eigvalsh(a)
+
+        sets = [build_family(a) for a in np.linspace(0.0, 1.0, 129)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stacked = rpz_profiles(sets)
+        monkeypatch.undo()
+        assert screen_calls == [(128, 256), (1, 256)]
+        assert stacked == [rpz_profile(ms) for ms in sets]
+        assert [(p.s_coeffs, p.deltas) for p in stacked] == [rpz_profile_oracle(ms) for ms in sets]
+
+    def test_empty_stack(self):
+        assert rpz_profiles([]) == []
+
+    def test_rejects_mixed_shapes(self, rng):
+        for sets in (
+            [random_set(rng, 3, 3), random_set(rng, 3, 2)],  # different N
+            [random_set(rng, 2, 3), random_set(rng, 3, 2)],  # same pool size, different d
+        ):
+            with pytest.raises(ValidationError, match="share"):
+                rpz_profiles(sets)
+
+    def test_capacity_refused_before_work(self, rng, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("rpz started work past its cap")
+
+        sets = [random_set(rng, 3, 9) for _ in range(2)]  # 27 pooled kets each
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
+        with pytest.raises(CapacityError):
+            rpz_profiles(sets)
 
 
 class TestRpzBound:

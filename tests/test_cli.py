@@ -10,16 +10,17 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from eurkit.bounds import lmf_bound, rpz_bound, scb_bound
-from eurkit.cli import RunConfig, UsageError, main, render_sig12
+from eurkit.cli import RunConfig, UsageError, main, render_sig12, sweep_csv
 from eurkit.documents import builtin_state
 from eurkit.entropy import entropy_sum
-from eurkit.family import build_family
+from eurkit.family import build_family, sweep
 from eurkit.sampling import random_density
 from eurkit.tomography import simulate_projections
 
@@ -352,3 +353,12 @@ def test_golden_stdout_digests(capsys):
         code, out, _ = run_cli(list(argv), capsys)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_sweep_csv_matches_benchmark_reference():
+    # the grid of `eurkit sweep --steps 1001`, which the family_sweep
+    # benchmark checks against the digest recorded in reference.json
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["sweep_csv_sha256"]
+    grid = [0.0 + 1.0 * i / 1000 for i in range(1001)]
+    assert hashlib.sha256(sweep_csv(sweep(grid)).encode("utf-8")).hexdigest() == expected

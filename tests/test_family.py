@@ -8,6 +8,7 @@ from eurkit.documents import builtin_state
 from eurkit.entropy import binary_entropy, entropy_sum
 from eurkit.family import (
     GRID_POINTS_DEFAULT,
+    SWEEP_CHUNK,
     SweepRow,
     build_family,
     default_grid,
@@ -133,3 +134,15 @@ class TestSweep:
             sweep([])
         with pytest.raises(ValidationError):
             sweep([0.2, 1.4])
+
+    def test_chunk_boundary_rows_match_pointwise(self):
+        grid = np.linspace(0.0, 1.0, SWEEP_CHUNK + 1)
+        assert sweep(grid) == [row for a in grid for row in sweep([a])]
+
+    def test_bad_point_in_later_chunk(self):
+        grid = [*np.linspace(0.0, 1.0, SWEEP_CHUNK + 1), 1.4]
+        with pytest.raises(ValidationError) as stacked:
+            sweep(grid)
+        with pytest.raises(ValidationError) as alone:
+            build_family(1.4)
+        assert str(stacked.value) == str(alone.value)

@@ -218,6 +218,15 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
+    def test_hermiticity_window_is_atol(self):
+        # one off-diagonal entry without its mirror: the deviation is that entry
+        m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        m[0, 1] = 0.9 * ATOL
+        assert_allclose(DensityOperator(m).matrix[1, 0], 0.45 * ATOL, rtol=1e-12)
+        m[0, 1] = 1.1 * ATOL
+        with pytest.raises(ValidationError, match=r"not Hermitian within tolerance \(dev 1\.100e-09\)"):
+            DensityOperator(m)
+
 
 class TestAsDensityMatrix:
     def test_data_window_admits_reference_matrix(self):
@@ -237,6 +246,12 @@ class TestProjectiveMeasurement:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
             ProjectiveMeasurement(np.array([E0, E0, E2]))
+
+    def test_orthonormality_window_is_atol(self):
+        # the first ket's squared norm is 1 + x, so the Gram deviation is x
+        ProjectiveMeasurement(np.array([math.sqrt(1.0 + 0.9 * ATOL) * E0, E1, E2]))
+        with pytest.raises(ValidationError, match=r"not orthonormal \(dev 1\.100e-09\)"):
+            ProjectiveMeasurement(np.array([math.sqrt(1.0 + 1.1 * ATOL) * E0, E1, E2]))
 
     def test_from_vectors_validates_each_ket(self):
         with pytest.raises(ValidationError):
