@@ -312,29 +312,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # Each dest is a RunConfig field; metavar keeps --help as it reads by flag.
     p_bounds = sub.add_parser("bounds", help="evaluate the entropy sum and lower bounds for one state")
-    p_bounds.add_argument("--measurements", help="JSON measurements document")
+    p_bounds.add_argument("--measurements", dest="measurements_path", metavar="MEASUREMENTS", help="JSON measurements document")
     p_bounds.add_argument("--family-a", type=float, dest="family_a", help="use the built-in family at parameter a")
     p_bounds.add_argument("--state", default="mixed", help="state label (zero, minus1, mixed) or JSON state document")
-    p_bounds.add_argument("--bounds", default=",".join(BOUND_CHOICES), help="comma-separated bound selection")
-    p_bounds.add_argument("--out", help="write the JSON report here instead of stdout")
+    p_bounds.add_argument("--bounds", type=_selection_from_flag, default=",".join(BOUND_CHOICES), dest="bound_selection",
+                          metavar="BOUNDS", help="comma-separated bound selection")
+    p_bounds.add_argument("--out", dest="out_path", metavar="OUT", help="write the JSON report here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="scan the built-in family over its parameter")
     p_sweep.add_argument("--from", type=float, default=0.0, dest="frm", help="grid start (default 0)")
     p_sweep.add_argument("--to", type=float, default=1.0, help="grid end (default 1)")
     p_sweep.add_argument("--steps", type=int, default=GRID_POINTS_DEFAULT, help="grid size (default 101)")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--out", help="write output here instead of stdout")
+    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
+    p_sweep.add_argument("--out", dest="out_path", metavar="OUT", help="write output here instead of stdout")
 
     p_tomo = sub.add_parser("tomo", help="reconstruct a qutrit state from a projection record")
-    p_tomo.add_argument("--record", required=True, help="JSON record document, or 'reference' for the bundled matrix's record")
-    p_tomo.add_argument("--target", help="JSON ket document, or 'reference' for the bundled preparation target")
-    p_tomo.add_argument("--out", help="write the JSON report here instead of stdout")
+    p_tomo.add_argument("--record", required=True, dest="record_path", metavar="RECORD",
+                        help="JSON record document, or 'reference' for the bundled matrix's record")
+    p_tomo.add_argument("--target", dest="target_path", metavar="TARGET",
+                        help="JSON ket document, or 'reference' for the bundled preparation target")
+    p_tomo.add_argument("--out", dest="out_path", metavar="OUT", help="write the JSON report here instead of stdout")
 
     p_pulse = sub.add_parser("pulse-verify", help="verify pulse sequences against their projection targets")
-    p_pulse.add_argument("--table", help="JSON pulse-table document (default: bundled table)")
-    p_pulse.add_argument("--threshold", type=float, help="ray-fidelity pass threshold (default 1 - 1e-9)")
-    p_pulse.add_argument("--out", help="write the JSON report here instead of stdout")
+    p_pulse.add_argument("--table", dest="table_path", metavar="TABLE", help="JSON pulse-table document (default: bundled table)")
+    p_pulse.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help="ray-fidelity pass threshold (default 1 - 1e-9)")
+    p_pulse.add_argument("--out", dest="out_path", metavar="OUT", help="write the JSON report here instead of stdout")
 
     return parser
 
@@ -347,37 +351,7 @@ def config_from_argv(argv=None) -> RunConfig:
     args = build_parser().parse_args(argv)
     if args.command is None:
         raise UsageError(f"a command is required ({', '.join(COMMANDS)})")
-    if args.command == "bounds":
-        return RunConfig(
-            command="bounds",
-            measurements_path=args.measurements,
-            family_a=args.family_a,
-            state=args.state,
-            bound_selection=_selection_from_flag(args.bounds),
-            out_path=args.out,
-        )
-    if args.command == "sweep":
-        return RunConfig(
-            command="sweep",
-            frm=args.frm,
-            to=args.to,
-            steps=args.steps,
-            output_format=args.format,
-            out_path=args.out,
-        )
-    if args.command == "tomo":
-        return RunConfig(
-            command="tomo",
-            record_path=args.record,
-            target_path=args.target,
-            out_path=args.out,
-        )
-    return RunConfig(
-        command="pulse-verify",
-        table_path=args.table,
-        threshold=DEFAULT_THRESHOLD if args.threshold is None else args.threshold,
-        out_path=args.out,
-    )
+    return RunConfig(**vars(args))
 
 
 def main(argv=None) -> int:

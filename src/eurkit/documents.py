@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityOperator, ProjectiveMeasurement, ValidationError, as_state_vector
+from .linalg import DensityOperator, ProjectiveMeasurement, ValidationError, as_complex_array, as_state_vector
 from .pulses import Pulse, get_channel
 from .tomography import TomographyRecord
 
@@ -39,10 +39,10 @@ def _complex(entry, *, where: str) -> complex:
     return complex(_real(entry[0], where=where), _real(entry[1], where=where))
 
 
-def _ket(entries, *, where: str) -> np.ndarray:
+def _ket(entries, *, where: str) -> list[complex]:
     if not isinstance(entries, list) or len(entries) < 2:
         raise ValidationError(f"{where}: a ket needs at least two [re, im] entries")
-    return np.array([_complex(e, where=where) for e in entries])
+    return [_complex(e, where=where) for e in entries]
 
 
 def load_json(path: str):
@@ -62,10 +62,9 @@ def parse_state(doc, *, where: str = "state") -> DensityOperator:
     if "ket" in doc:
         return DensityOperator.from_ket(_ket(doc["ket"], where=f"{where}.ket"))
     rows = doc["rho"]
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise ValidationError(f"{where}.rho: expected a list of rows")
-    matrix = np.array([[_complex(e, where=f"{where}.rho") for e in row] for row in rows])
-    return DensityOperator(matrix)
+    return DensityOperator([[_complex(e, where=f"{where}.rho") for e in row] for row in rows])
 
 
 def parse_ket(doc, *, where: str = "state") -> np.ndarray:
@@ -80,6 +79,8 @@ BUILTIN_STATES = ("zero", "minus1", "mixed")
 
 def builtin_state(label: str, dim: int = 3) -> DensityOperator:
     """Named reference states: 'zero', 'minus1', 'mixed' (maximally mixed)."""
+    if dim < 2:
+        raise ValidationError(f"built-in states need dim >= 2, got {dim}")
     if label == "zero":
         ket = np.zeros(dim, dtype=complex)
         ket[0] = 1.0
@@ -127,7 +128,7 @@ def parse_pulse_table(doc, *, where: str = "table") -> list[tuple[np.ndarray, li
     for i, row in enumerate(doc):
         if not isinstance(row, dict) or set(row) != {"target", "pulses"}:
             raise ValidationError(f"{where}[{i}]: expected keys 'target' and 'pulses'")
-        target = _ket(row["target"], where=f"{where}[{i}].target")
+        target = as_complex_array(_ket(row["target"], where=f"{where}[{i}].target"))
         if target.size != 3:
             raise ValidationError(f"{where}[{i}].target: pulse targets live on the triplet")
         specs = row["pulses"]

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, ValidationError, as_density_matrix, as_measurements, born_probabilities
+from .linalg import ATOL, DensityOperator, ValidationError, as_density_matrix, as_measurements, born_probabilities
 
 
 def _entropy_of_clamped(values: np.ndarray) -> float:
+    # Entries <= 0 contribute nothing, as if clamped to zero.
     v = values[values > 0.0]
     if v.size == 0:
         return 0.0
@@ -32,7 +33,7 @@ def shannon_entropy(probabilities) -> float:
         raise ValidationError(f"probability {p.min():.3e} below -{ATOL:g}")
     if abs(p.sum() - 1.0) > ATOL:
         raise ValidationError(f"probabilities sum to {p.sum():.12g}, not 1")
-    return _entropy_of_clamped(np.clip(p, 0.0, None))
+    return _entropy_of_clamped(p)
 
 
 def binary_entropy(a: float) -> float:
@@ -47,13 +48,16 @@ def binary_entropy(a: float) -> float:
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda log2 lambda over the spectrum of rho.
 
-    Accepts a DensityOperator or a raw Hermitian unit-trace array whose
-    negativity stays inside the data window; negative eigenvalues are
-    clamped to zero before the entropy (no renormalization, so the value
-    reflects the matrix exactly as given).
+    Accepts a DensityOperator, whose admitted spectrum is used as is, or a
+    raw Hermitian unit-trace array whose negativity stays inside the data
+    window; negative eigenvalues are clamped to zero before the entropy
+    (no renormalization, so the value reflects the matrix exactly as given).
     """
-    vals = np.linalg.eigvalsh(as_density_matrix(rho))
-    return _entropy_of_clamped(np.clip(vals, 0.0, None))
+    if isinstance(rho, DensityOperator):
+        vals = rho.spectrum
+    else:
+        vals = np.linalg.eigvalsh(as_density_matrix(rho))
+    return _entropy_of_clamped(vals)
 
 
 @dataclass(frozen=True)
@@ -78,5 +82,6 @@ class EntropyBreakdown:
 def entropy_sum(measurements, rho) -> EntropyBreakdown:
     """Sum of measurement entropies sum_m H(M_m) for one state, in bits."""
     ms = as_measurements(measurements, minimum=1)
-    pairs = tuple((m.label, shannon_entropy(born_probabilities(m, rho))) for m in ms)
+    # born_probabilities has already checked each vector as a distribution.
+    pairs = tuple((m.label, _entropy_of_clamped(born_probabilities(m, rho))) for m in ms)
     return EntropyBreakdown(per_measurement=pairs, total=float(sum(h for _, h in pairs)))

@@ -8,12 +8,18 @@ Two tolerance regimes coexist.  ATOL guards exact mathematical invariants
 admission window for experimentally reconstructed matrices, which routinely
 carry small negative eigenvalues from shot noise; functions that consume a
 spectrum clamp such eigenvalues to zero, and anything more negative than
-the window is rejected as bad data rather than silently repaired.
+the window is rejected as bad data (DataQualityError, which the CLI reports
+as "data-quality") rather than silently repaired.
+
+Each kind of input is checked once: outside values become arrays only in
+``as_complex_array``, density matrices pass one admission (behind both
+``as_density_matrix`` and ``DensityOperator``, which keeps the admitted
+spectrum) and measurement lists pass ``as_measurements``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +47,11 @@ class CapacityError(ValidationError):
 
 def as_complex_array(value, *, name: str = "array") -> np.ndarray:
     """Coerce to a finite complex128 ndarray, rejecting NaN/Inf."""
-    arr = np.asarray(value, dtype=complex)
+    try:
+        arr = np.asarray(value, dtype=complex)
+    except (ValueError, TypeError):
+        # Ragged nesting or non-numeric entries.
+        raise ValidationError(f"{name} is not a rectangular array of numbers") from None
     # isfinite is not defined for complex; check the parts (works for any
     # memory layout, unlike a float view).
     if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
@@ -72,6 +82,21 @@ def _check_hermitian(matrix: np.ndarray, *, name: str) -> np.ndarray:
     return 0.5 * (matrix + adjoint)
 
 
+def _admit_density(value, *, psd_tol: float, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one density-matrix admission; returns the symmetrized matrix and its eigvalsh spectrum."""
+    m = _check_hermitian(as_complex_array(value, name=name), name=name)
+    tr = m.trace()
+    if abs(tr - 1.0) > ATOL:
+        raise ValidationError(f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    spectrum = np.linalg.eigvalsh(m)
+    lo = float(spectrum.min())
+    if lo < -psd_tol:
+        raise DataQualityError(
+            f"{name} has eigenvalue {lo:.4e} below the admission window -{psd_tol:g}"
+        )
+    return m, spectrum
+
+
 def as_density_matrix(value, *, psd_tol: float = DATA_PSD_TOL, name: str = "rho") -> np.ndarray:
     """Validate a density matrix given as a DensityOperator or raw array.
 
@@ -82,16 +107,7 @@ def as_density_matrix(value, *, psd_tol: float = DATA_PSD_TOL, name: str = "rho"
     """
     if isinstance(value, DensityOperator):
         return value.matrix
-    m = _check_hermitian(as_complex_array(value, name=name), name=name)
-    tr = m.trace()
-    if abs(tr - 1.0) > ATOL:
-        raise ValidationError(f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    lo = float(np.linalg.eigvalsh(m).min())
-    if lo < -psd_tol:
-        raise DataQualityError(
-            f"{name} has eigenvalue {lo:.4e} below the admission window -{psd_tol:g}"
-        )
-    return m
+    return _admit_density(value, psd_tol=psd_tol, name=name)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +116,19 @@ class DensityOperator:
 
     Experimental matrices with larger negativity do not construct; pass
     them as raw arrays to functions that accept the wider data window.
+    ``spectrum`` holds the ascending eigenvalues found at admission
+    (read-only), so consumers of the spectrum do not diagonalize again.
     """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _check_hermitian(as_complex_array(self.matrix, name="matrix"), name="matrix")
-        tr = m.trace()
-        if abs(tr - 1.0) > ATOL:
-            raise ValidationError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -ATOL:
-            raise ValidationError(f"density matrix eigenvalue {lo:.4e} below -{ATOL:g}")
+        m, spectrum = _admit_density(self.matrix, psd_tol=ATOL, name="density matrix")
         m.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -155,7 +170,7 @@ class ProjectiveMeasurement:
 
     @classmethod
     def from_vectors(cls, vectors, label: str = "M") -> "ProjectiveMeasurement":
-        return cls(np.array([as_state_vector(v, name=f"{label}[{i}]") for i, v in enumerate(vectors)]), label)
+        return cls([as_state_vector(v, name=f"{label}[{i}]") for i, v in enumerate(vectors)], label)
 
 
 def as_measurements(measurements, *, minimum: int) -> list[ProjectiveMeasurement]:

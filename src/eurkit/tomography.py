@@ -32,6 +32,7 @@ from .linalg import (
     DataQualityError,
     DensityOperator,
     ValidationError,
+    as_complex_array,
     as_density_matrix,
     as_state_vector,
     hermitian_eigen,
@@ -171,9 +172,9 @@ def project_physical(matrix) -> DensityOperator:
     are clamped to zero as experimental noise; lower is a data-quality
     error, as is a trace off by more than TRACE_WINDOW.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m.view(float))):
-        raise ValidationError("expected a finite 3x3 matrix")
+    m = as_complex_array(matrix, name="matrix")
+    if m.shape != (3, 3):
+        raise ValidationError("expected a 3x3 matrix")
     m = 0.5 * (m + m.conj().T)
     tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_WINDOW:

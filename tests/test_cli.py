@@ -122,6 +122,29 @@ class TestBoundsCommand:
         assert code == 2
         assert "trace" in err
 
+    def test_state_below_strict_window_is_data_quality(self, tmp_path, capsys):
+        rho = [[pair([1.0 + 1e-6, -1e-6, 0.0][i] if i == j else 0.0) for j in range(3)] for i in range(3)]
+        path = write_json(tmp_path, "state.json", {"rho": rho})
+        code, out, err = run_cli(["bounds", "--family-a", "0.5", "--state", path], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: data-quality: density matrix has eigenvalue -1.0000e-06 below the admission window -1e-09\n"
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [
+            # the second basis's kets differ in length
+            ("--measurements", [[[pair(1), pair(0)], [pair(0), pair(1)]], [[pair(1), pair(0)], [pair(0), pair(1), pair(0)]]]),
+            ("--state", {"rho": [[pair(1), pair(0)], [pair(0)]]}),
+            ("--state", {"rho": [1, 0]}),
+        ],
+    )
+    def test_ragged_document_exits_2(self, tmp_path, capsys, flag, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        argv = ["bounds", flag, path] + (["--family-a", "0.5"] if flag == "--state" else [])
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: validation: ")
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code, _, err = run_cli(["bounds"], capsys)
         assert code == 1 and "exactly one" in err
@@ -362,3 +385,83 @@ def test_sweep_csv_matches_benchmark_reference():
     expected = json.loads(reference.read_text(encoding="utf-8"))["sweep_csv_sha256"]
     grid = [0.0 + 1.0 * i / 1000 for i in range(1001)]
     assert hashlib.sha256(sweep_csv(sweep(grid)).encode("utf-8")).hexdigest() == expected
+
+
+# `--help` stdout of each parser at COLUMNS=80 (argparse of Python 3.11):
+# the flags' names, metavars and help texts are part of the interface.
+HELP_TEXT = {
+    (): """\
+usage: eurkit [-h] command ...
+
+Entropic uncertainty sums, lower bounds, qutrit tomography, and pulse-table
+verification.
+
+positional arguments:
+  command
+    bounds      evaluate the entropy sum and lower bounds for one state
+    sweep       scan the built-in family over its parameter
+    tomo        reconstruct a qutrit state from a projection record
+    pulse-verify
+                verify pulse sequences against their projection targets
+
+options:
+  -h, --help    show this help message and exit
+""",
+    ("bounds",): """\
+usage: eurkit bounds [-h] [--measurements MEASUREMENTS] [--family-a FAMILY_A]
+                     [--state STATE] [--bounds BOUNDS] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --measurements MEASUREMENTS
+                        JSON measurements document
+  --family-a FAMILY_A   use the built-in family at parameter a
+  --state STATE         state label (zero, minus1, mixed) or JSON state
+                        document
+  --bounds BOUNDS       comma-separated bound selection
+  --out OUT             write the JSON report here instead of stdout
+""",
+    ("sweep",): """\
+usage: eurkit sweep [-h] [--from FRM] [--to TO] [--steps STEPS]
+                    [--format {csv,json}] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --from FRM           grid start (default 0)
+  --to TO              grid end (default 1)
+  --steps STEPS        grid size (default 101)
+  --format {csv,json}
+  --out OUT            write output here instead of stdout
+""",
+    ("tomo",): """\
+usage: eurkit tomo [-h] --record RECORD [--target TARGET] [--out OUT]
+
+options:
+  -h, --help       show this help message and exit
+  --record RECORD  JSON record document, or 'reference' for the bundled
+                   matrix's record
+  --target TARGET  JSON ket document, or 'reference' for the bundled
+                   preparation target
+  --out OUT        write the JSON report here instead of stdout
+""",
+    ("pulse-verify",): """\
+usage: eurkit pulse-verify [-h] [--table TABLE] [--threshold THRESHOLD]
+                           [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --table TABLE         JSON pulse-table document (default: bundled table)
+  --threshold THRESHOLD
+                        ray-fidelity pass threshold (default 1 - 1e-9)
+  --out OUT             write the JSON report here instead of stdout
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXT))
+def test_help_text_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXT[command]

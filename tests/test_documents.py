@@ -79,6 +79,11 @@ class TestBuiltinStates:
         with pytest.raises(ValidationError):
             builtin_state("plus1")
 
+    @pytest.mark.parametrize("label, dim", [("zero", 0), ("minus1", 1), ("mixed", 1)])
+    def test_rejects_dim_below_two(self, label, dim):
+        with pytest.raises(ValidationError, match="dim >= 2"):
+            builtin_state(label, dim)
+
 
 class TestParseMeasurements:
     def test_two_bases_labeled_in_order(self):

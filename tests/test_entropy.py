@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from eurkit.documents import BUILTIN_STATES, builtin_state
 from eurkit.entropy import (
     EntropyBreakdown,
     binary_entropy,
@@ -108,8 +109,30 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValidationError):
             von_neumann_entropy(np.diag([1.1, -0.1, 0.0]))
 
+    def test_density_operator_is_not_diagonalized_again(self, rng, monkeypatch):
+        rho = random_density(rng)
+        expected = von_neumann_entropy(np.array(rho.matrix))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called after admission")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert von_neumann_entropy(rho) == expected
+
 
 class TestEntropySum:
+    def test_equals_the_checked_shannon_path(self, rng):
+        cases = [(build_family(a), builtin_state(label)) for a in np.linspace(0.0, 1.0, 101) for label in BUILTIN_STATES]
+        for d in (2, 3, 4):
+            for _ in range(10):
+                ms = [random_basis(rng, d, label=f"R{i}") for i in range(3)]
+                cases.append((ms, random_density(rng, d, pure=bool(rng.integers(2)))))
+        for ms, rho in cases:
+            per = [shannon_entropy(born_probabilities(m, rho)) for m in ms]
+            breakdown = entropy_sum(ms, rho)
+            assert breakdown.values == tuple(per)
+            assert breakdown.total == sum(per)
+
     def test_family_closed_forms(self):
         zero = DensityOperator.from_ket([1, 0, 0])
         minus1 = DensityOperator.from_ket([0, 1, 0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,20 @@ class TestDensityOperator:
         rho = random_density(rng)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
+
+    def test_spectrum_is_the_admission_eigvalsh(self, rng):
+        for rho in (random_density(rng), random_density(rng, 4), DensityOperator.from_ket(E1), DensityOperator(np.eye(3) / 3)):
+            assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+            with pytest.raises(ValueError):
+                rho.spectrum[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rho.spectrum = np.zeros(rho.dim)
+
+    def test_strict_window_is_a_data_quality_error(self):
+        with pytest.raises(
+            DataQualityError, match=r"^density matrix has eigenvalue -1\.0000e-06 below the admission window -1e-09$"
+        ):
+            DensityOperator(np.diag([1.0 + 1e-6, -1e-6, 0.0]))
 
     def test_hermiticity_window_is_atol(self):
         # one off-diagonal entry without its mirror: the deviation is that entry

@@ -113,6 +113,21 @@ class TestReconstruct:
         with pytest.raises(ValidationError):
             reconstruct({"set1": (1, 0, 0.5, 0.5)})
 
+    def test_two_diagonalizations_without_target(self, monkeypatch):
+        # project_physical's eigh and the admission's eigvalsh; the entropy
+        # reads the admitted spectrum.
+        record = simulate_projections(REFERENCE_RECONSTRUCTION)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        reconstruct(record)
+        assert calls == ["eigh", "eigvalsh"]
+
 
 class TestProjectPhysical:
     def test_idempotent_and_trace_preserving(self, rng):
@@ -143,6 +158,16 @@ class TestProjectPhysical:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             project_physical(np.ones((2, 3)))
+
+    def test_any_memory_layout(self):
+        expected = project_physical(REFERENCE_RECONSTRUCTION).matrix
+        for m in (REFERENCE_RECONSTRUCTION.T.conj(), REFERENCE_RECONSTRUCTION.copy(order="F")):
+            assert not m.flags.c_contiguous
+            assert np.array_equal(project_physical(m).matrix, expected)
+        bad = REFERENCE_RECONSTRUCTION.copy(order="F")
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            project_physical(bad)
 
 
 class TestFidelity:
