@@ -12,12 +12,12 @@ bound they all generalize.  The two state-dependent ones have the form
   pooled measurement vectors.
 
 All reported bounds are clamped below at 0 (a negative lower bound on
-entropies is vacuous).  Entropies are in bits throughout.  The scb
-chains and the lmf orderings are enumerated exhaustively.  Every rpz
-subset is screened on its d x d frame operator, and only the
-near-maximal ones are confirmed on their Gram blocks, for a whole stack
-of measurement sets at once (see ``rpz_profiles``).  All three searches
-are capped instead of falling back to heuristics.
+entropies is vacuous).  Entropies are in bits throughout.  scb and lmf
+read the squared overlaps of a ``MeasurementSet``, computed once per set,
+and enumerate their chains and orderings exhaustively.  Every rpz subset
+is screened on its d x d frame operator, and only the near-maximal ones
+are confirmed on their Gram blocks, for a whole stack of sets at once
+(see ``rpz_profiles``).  All three searches are capped, never heuristic.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import entropy_sum, von_neumann_entropy
+from .entropy import _entropy_of_clamped, entropy_sum, von_neumann_entropy
 from .linalg import (
     ATOL,
     CapacityError,
+    MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
     as_measurements,
@@ -56,15 +57,6 @@ MAX_ORDERING_SEARCH = 5
 MAX_SCB_MEASUREMENTS = 9
 
 
-def _overlap_matrix(ms: list[ProjectiveMeasurement]) -> np.ndarray:
-    n = len(ms)
-    c = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            c[i, j] = c[j, i] = overlap_c(ms[i], ms[j])
-    return c
-
-
 def mu_bound(r: ProjectiveMeasurement, s: ProjectiveMeasurement) -> float:
     """Two-measurement bound log2(1/c(R, S)); 0 when a basis ray is shared."""
     return max(0.0, -math.log2(overlap_c(r, s)))
@@ -84,7 +76,9 @@ def scb_bound(measurements, rho) -> float:
     n = len(ms)
     if n > MAX_SCB_MEASUREMENTS:
         raise CapacityError(f"scb chains limited to {MAX_SCB_MEASUREMENTS} measurements, got {n}")
-    c = _overlap_matrix(ms)
+    # c[i, j] is overlap_c of bases i < j, mirrored; no cycle reads c[i, i].
+    c = np.minimum(np.triu(ms.squared_overlaps.max(axis=(2, 3)), 1), 1.0)
+    c = c + c.T
     s = von_neumann_entropy(rho)
     best = n * s
     for k in range(2, n + 1):
@@ -99,11 +93,11 @@ def scb_bound(measurements, rho) -> float:
     return max(0.0, best)
 
 
-def _chain_coefficient(ms: list[ProjectiveMeasurement]) -> float:
-    overlaps = [np.abs(a.basis.conj() @ b.basis.T) ** 2 for a, b in zip(ms, ms[1:])]
-    v = overlaps[0].max(axis=0)
-    for o in overlaps[1:]:
-        v = v @ o
+def _chain_coefficient(ms: MeasurementSet, order) -> float:
+    o = ms.squared_overlaps
+    v = o[order[0], order[1]].max(axis=0)
+    for i, j in zip(order[1:], order[2:]):
+        v = v @ o[i, j]
     return float(min(v.max(), 1.0))
 
 
@@ -118,13 +112,14 @@ def lmf_chain_coefficient(measurements) -> float:
     empty, so b reduces to the pairwise overlap c(M1, M2).  Completeness
     of each basis keeps b <= 1.
     """
-    return _chain_coefficient(as_measurements(measurements, minimum=2))
+    ms = as_measurements(measurements, minimum=2)
+    return _chain_coefficient(ms, range(len(ms)))
 
 
 def lmf_bound(measurements, rho) -> float:
     """Chained bound (N-1) S(rho) - log2 b; sensitive to measurement order."""
     ms = as_measurements(measurements, minimum=2)
-    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(_chain_coefficient(ms)))
+    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(lmf_chain_coefficient(ms)))
 
 
 def lmf_bound_best_ordering(measurements, rho) -> float:
@@ -136,10 +131,8 @@ def lmf_bound_best_ordering(measurements, rho) -> float:
     """
     ms = as_measurements(measurements, minimum=2)
     if len(ms) > MAX_ORDERING_SEARCH:
-        raise CapacityError(
-            f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {len(ms)}"
-        )
-    b = min(_chain_coefficient(list(perm)) for perm in itertools.permutations(ms))
+        raise CapacityError(f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {len(ms)}")
+    b = min(_chain_coefficient(ms, order) for order in itertools.permutations(range(len(ms))))
     return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(b))
 
 
@@ -163,9 +156,7 @@ class MajorizationProfile:
     def entropy_bound(self) -> float:
         """-S_0 log2 S_0 - sum_i delta_i log2 delta_i, clamped at 0; the S_0
         term vanishes for normalized bases (S_0 = 1)."""
-        v = np.asarray(self.majorizing_vector())
-        v = v[v > 0.0]
-        return max(0.0, float(-np.sum(v * np.log2(v))))
+        return max(0.0, _entropy_of_clamped(np.asarray(self.majorizing_vector())))
 
 
 def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

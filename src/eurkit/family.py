@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rpz_bound is not called here; benchmarks/tracing.py patches it on this
-# module by name, so it stays imported.
+# rpz_bound is unused here but stays: benchmarks/tracing.py patches it by name.
 from .bounds import lmf_bound, rpz_bound, rpz_profiles, scb_bound  # noqa: F401
 from .entropy import binary_entropy, entropy_sum
 from .documents import builtin_state
-from .linalg import ProjectiveMeasurement, ValidationError
+from .linalg import MeasurementSet, ProjectiveMeasurement, ValidationError, as_measurements
 
 GRID_POINTS_DEFAULT = 101
 # Grid points whose rpz profiles ``sweep`` stacks into one call: 16 sets of
@@ -27,30 +26,26 @@ GRID_POINTS_DEFAULT = 101
 # further set in a chunk adds about 70 kB to the peak memory and little speed.
 SWEEP_CHUNK = 16
 
+_E0, _E1, _E2 = np.eye(3, dtype=complex)
+_M1 = ProjectiveMeasurement(np.array([_E0, _E1, _E2]), "M1")
+_M2 = ProjectiveMeasurement(np.array([(_E0 - _E2) / np.sqrt(2.0), _E1, (_E0 + _E2) / np.sqrt(2.0)]), "M2")
 
-def build_family(a: float) -> list[ProjectiveMeasurement]:
-    """The three measurements M1, M2, M3(a) for a in [0, 1]."""
+
+def build_family(a: float) -> MeasurementSet:
+    """The measurement set (M1, M2, M3(a)) for a in [0, 1], immutable.
+
+    M1 and M2 do not depend on a and are admitted once, at import; each
+    call builds M3(a) only.
+    """
     x = float(a)
     if not (math.isfinite(x) and -1e-12 <= x <= 1.0 + 1e-12):
         raise ValidationError(f"family parameter a = {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     b = 1.0 - x
-    e0, e1, e2 = np.eye(3, dtype=complex)
-    m1 = ProjectiveMeasurement(np.array([e0, e1, e2]), "M1")
-    m2 = ProjectiveMeasurement(
-        np.array([(e0 - e2) / np.sqrt(2.0), e1, (e0 + e2) / np.sqrt(2.0)]), "M2"
-    )
     m3 = ProjectiveMeasurement(
-        np.array(
-            [
-                np.sqrt(x) * e0 + np.sqrt(b) * e1,
-                np.sqrt(b) * e0 - np.sqrt(x) * e1,
-                e2,
-            ]
-        ),
-        "M3",
+        np.array([np.sqrt(x) * _E0 + np.sqrt(b) * _E1, np.sqrt(b) * _E0 - np.sqrt(x) * _E1, _E2]), "M3"
     )
-    return [m1, m2, m3]
+    return as_measurements((_M1, _M2, m3), minimum=3)
 
 
 def entropy_total_closed_form(a: float, state_label: str) -> float:
@@ -85,7 +80,8 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
 
     Grid points are visited in the order given; states are sorted by
     label within each point, one row per (a, state) pair; the default
-    states are the built-in 'zero' and 'minus1'.  The rpz bound is
+    states are the built-in 'zero' and 'minus1'.  The states of a grid
+    point share its set's squared overlaps.  The rpz bound is
     state-independent: the sets of SWEEP_CHUNK consecutive grid points
     are built first and their profiles come from one ``rpz_profiles``
     call, so a bad grid point raises before the states of its chunk are

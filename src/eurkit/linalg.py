@@ -14,11 +14,13 @@ as "data-quality") rather than silently repaired.
 Each kind of input is checked once: outside values become arrays only in
 ``as_complex_array``, density matrices pass one admission (behind both
 ``as_density_matrix`` and ``DensityOperator``, which keeps the admitted
-spectrum) and measurement lists pass ``as_measurements``.
+spectrum) and measurement lists become a ``MeasurementSet``, which
+``as_measurements`` passes through and which computes its overlaps once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,17 +175,36 @@ class ProjectiveMeasurement:
         return cls([as_state_vector(v, name=f"{label}[{i}]") for i, v in enumerate(vectors)], label)
 
 
-def as_measurements(measurements, *, minimum: int) -> list[ProjectiveMeasurement]:
-    """Validate a list of at least ``minimum`` projective measurements of one dimension."""
-    ms = list(measurements)
+class MeasurementSet(tuple):
+    """An admitted, immutable list of projective measurements of one dimension.
+
+    A tuple, so it indexes and unpacks like a list.  ``squared_overlaps`` is
+    computed on first use and shared by every bound evaluated on the set.
+    """
+
+    def __new__(cls, measurements):
+        ms = tuple(measurements)
+        if not all(isinstance(m, ProjectiveMeasurement) for m in ms):
+            raise ValidationError("expected ProjectiveMeasurement instances")
+        if len({m.dim for m in ms}) != 1:
+            raise ValidationError("measurements must share one dimension")
+        return super().__new__(cls, ms)
+
+    @functools.cached_property
+    def squared_overlaps(self) -> np.ndarray:
+        """|<u_k|v_l>|^2 of ket k of basis i and ket l of basis j at (i, j, k, l); read-only."""
+        b = np.array([m.basis for m in self])
+        o = np.abs(b.conj()[:, None] @ b.transpose(0, 2, 1)[None]) ** 2
+        o.flags.writeable = False
+        return o
+
+
+def as_measurements(measurements, *, minimum: int) -> MeasurementSet:
+    """Admit at least ``minimum`` measurements of one dimension; a set is only counted."""
+    ms = measurements if isinstance(measurements, MeasurementSet) else list(measurements)
     if len(ms) < minimum:
         raise ValidationError(f"need at least {minimum} measurement(s), got {len(ms)}")
-    for m in ms:
-        if not isinstance(m, ProjectiveMeasurement):
-            raise ValidationError("expected ProjectiveMeasurement instances")
-    if len({m.dim for m in ms}) != 1:
-        raise ValidationError("measurements must share one dimension")
-    return ms
+    return ms if isinstance(ms, MeasurementSet) else MeasurementSet(ms)
 
 
 def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -78,6 +78,8 @@ def fidelity(rho, sigma) -> float:
     """
     r = as_density_matrix(rho, name="rho")
     s = as_density_matrix(sigma, psd_tol=ATOL, name="sigma")
+    if r.shape != s.shape:
+        raise ValidationError(f"dimension mismatch: rho dim {r.shape[0]}, sigma dim {s.shape[0]}")
     root = matrix_sqrt_psd(s)
     inner = root @ r @ root
     inner = 0.5 * (inner + inner.conj().T)
@@ -94,6 +96,8 @@ def fidelity_with_ket(rho, ket) -> float:
     """
     r = as_density_matrix(rho, name="rho")
     psi = as_state_vector(ket, name="target")
+    if psi.size != r.shape[0]:
+        raise ValidationError(f"dimension mismatch: rho dim {r.shape[0]}, target dim {psi.size}")
     val = float(np.vdot(psi, r @ psi).real)
     return float(np.clip(np.sqrt(max(val, 0.0)), 0.0, 1.0))
 
@@ -133,6 +137,8 @@ class TomographyRecord:
 def simulate_projections(rho) -> TomographyRecord:
     """Projection record an ideal apparatus would read out for a state."""
     r = as_density_matrix(rho)
+    if r.shape != (3, 3):
+        raise ValidationError(f"dimension mismatch: projections need state dim 3, got {r.shape[0]}")
     swapped = SWAP_0P1 @ r @ SWAP_0P1.conj().T
 
     def proj(vectors, m):

@@ -26,9 +26,11 @@ from eurkit.family import build_family
 from eurkit.linalg import (
     CapacityError,
     DensityOperator,
+    MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
     born_probabilities,
+    overlap_c,
 )
 from eurkit.sampling import random_basis, random_density
 
@@ -192,6 +194,35 @@ class TestScbBound:
             scb_bound(ms, DensityOperator.from_ket([1, 0]))
 
 
+    def test_capacity_refused_before_overlaps(self, rng):
+        ms = MeasurementSet([random_basis(rng, dim=2)] * (MAX_SCB_MEASUREMENTS + 1))
+        with pytest.raises(CapacityError):
+            scb_bound(ms, DensityOperator.from_ket([1, 0]))
+        assert "squared_overlaps" not in ms.__dict__
+
+    def test_overlap_matrix_is_overlap_c_of_each_pair(self, rng, monkeypatch):
+        # scb multiplies entries of its overlap matrix: record every product
+        products = []
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def prod(self, factors):
+                products.append(list(factors))
+                return math.prod(products[-1])
+
+        monkeypatch.setattr(eurkit.bounds, "math", RecordingMath())
+        for d, n in ((2, 4), (3, 3), (3, 5), (4, 4)):
+            ms = random_set(rng, d, n)
+            ms[-1] = ms[0]  # a repeated basis has c = 1
+            del products[:]
+            scb_bound(ms, random_density(rng, d))
+            # the k = 2 cycles come first: (i, j) then (j, i), for i < j
+            pairs = list(itertools.combinations(range(n), 2))
+            assert products[: len(pairs)] == [[overlap_c(ms[i], ms[j])] * 2 for i, j in pairs]
+
+
 class TestLmfBound:
     def test_reduces_to_mu_for_pairs(self, rng):
         for _ in range(30):
@@ -246,6 +277,31 @@ class TestLmfBound:
         ms = [random_basis(rng, label=f"R{i}") for i in range(MAX_ORDERING_SEARCH + 1)]
         with pytest.raises(CapacityError):
             lmf_bound_best_ordering(ms, MINUS1)
+
+    def test_best_ordering_capacity_refused_before_overlaps(self, rng):
+        ms = MeasurementSet([random_basis(rng, label=f"R{i}") for i in range(MAX_ORDERING_SEARCH + 1)])
+        with pytest.raises(CapacityError):
+            lmf_bound_best_ordering(ms, MINUS1)
+        assert "squared_overlaps" not in ms.__dict__
+
+    def test_matches_per_ordering_chain_code(self, rng):
+        # the chain code before the overlaps moved onto the set: one
+        # product per consecutive pair of every ordering
+        def chain_coefficient(ms):
+            overlaps = [np.abs(a.basis.conj() @ b.basis.T) ** 2 for a, b in zip(ms, ms[1:])]
+            v = overlaps[0].max(axis=0)
+            for o in overlaps[1:]:
+                v = v @ o
+            return float(min(v.max(), 1.0))
+
+        for n in (2, 3, 4, 5):
+            for _ in range(4):
+                ms = random_set(rng, 3, n)
+                rho = random_density(rng)
+                b = min(chain_coefficient(list(perm)) for perm in itertools.permutations(ms))
+                expected = max(0.0, (n - 1) * von_neumann_entropy(rho) - math.log2(b))
+                assert lmf_bound_best_ordering(ms, rho) == expected
+                assert lmf_chain_coefficient(ms) == chain_coefficient(ms)
 
     def test_rejects_single_measurement(self, rng):
         with pytest.raises(ValidationError):
@@ -476,3 +532,16 @@ class TestBoundReport:
     def test_rejects_bad_slack(self):
         with pytest.raises(ValidationError):
             bound_report(build_family(0.5), MINUS1, slack=-1.0)
+
+    def test_list_and_set_give_equal_values(self, rng):
+        for d, n in ((2, 2), (3, 3), (2, 4), (3, 5)):
+            ms = random_set(rng, d, n)
+            rho = random_density(rng, d)
+            as_set = MeasurementSet(ms)
+            for _ in range(2):  # the second pass reads the set's cached overlaps
+                assert bound_report(as_set, rho) == bound_report(ms, rho)
+                for bound in (scb_bound, lmf_bound, lmf_bound_best_ordering):
+                    assert bound(as_set, rho) == bound(ms, rho)
+                assert lmf_chain_coefficient(as_set) == lmf_chain_coefficient(ms)
+                assert rpz_bound(as_set) == rpz_bound(ms)
+                assert entropy_sum(as_set, rho) == entropy_sum(ms, rho)

@@ -253,6 +253,13 @@ class TestTomoCommand:
         raw = payload["raw_rho"]
         assert len(raw) == 3 and all(len(z) == 2 for row in raw for z in row)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_target_of_wrong_dimension_is_a_validation_error(self, tmp_path, capsys, dim):
+        path = write_json(tmp_path, "ket.json", {"ket": [[1.0 / math.sqrt(dim), 0.0]] * dim})
+        code, out, err = run_cli(["tomo", "--record", "reference", "--target", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: validation: dimension mismatch")
+
     def test_uniform_record_reconstructs_mixed_state(self, tmp_path, capsys):
         third = 1.0 / 3.0
         path = write_json(tmp_path, "rec.json", {k: [third] * 4 for k in ("set1", "set2", "set3")})

@@ -11,9 +11,11 @@ from eurkit.linalg import (
     ATOL,
     DataQualityError,
     DensityOperator,
+    MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
     as_density_matrix,
+    as_measurements,
     as_state_vector,
     born_probabilities,
     hermitian_eigen,
@@ -276,6 +278,54 @@ class TestProjectiveMeasurement:
         m = random_basis(rng)
         with pytest.raises(ValueError):
             m.basis[0, 0] = 0.0
+
+
+class TestMeasurementSet:
+    def test_as_measurements_passes_a_set_through(self, rng):
+        ms = MeasurementSet([random_basis(rng), random_basis(rng)])
+        assert as_measurements(ms, minimum=2) is ms
+        with pytest.raises(ValidationError, match="need at least 3 measurement"):
+            as_measurements(ms, minimum=3)
+
+    def test_as_measurements_admits_a_list_once(self, rng):
+        ms = [random_basis(rng), random_basis(rng)]
+        got = as_measurements(ms, minimum=2)
+        assert type(got) is MeasurementSet and list(got) == ms
+
+    def test_construction_refuses_like_as_measurements(self, rng):
+        m2, m3 = random_basis(rng, dim=2), random_basis(rng, dim=3)
+        with pytest.raises(ValidationError, match="^measurements must share one dimension$"):
+            MeasurementSet([m2, m3])
+        with pytest.raises(ValidationError, match="^expected ProjectiveMeasurement instances$"):
+            MeasurementSet([m3, m3.basis])
+        # the instance check comes first, as in as_measurements
+        with pytest.raises(ValidationError, match="^expected ProjectiveMeasurement instances$"):
+            MeasurementSet([m2, m3, "M"])
+        # as_measurements counts before it admits
+        with pytest.raises(ValidationError, match="^need at least 2 measurement"):
+            as_measurements(["M"], minimum=2)
+
+    def test_squared_overlaps_match_per_pair_products(self, rng):
+        random_sets = [[random_basis(rng, dim=d) for _ in range(n)] for d, n in ((2, 2), (3, 3), (3, 5), (4, 4))]
+        family_sets = [build_family(a) for a in np.linspace(0.0, 1.0, 101)]
+        for ms in [MeasurementSet([*b, b[0]]) for b in random_sets] + family_sets:  # random ones repeat a basis
+            assert "squared_overlaps" not in ms.__dict__  # computed on first use
+            oracle = np.array([[np.abs(a.basis.conj() @ b.basis.T) ** 2 for b in ms] for a in ms])
+            assert np.array_equal(ms.squared_overlaps, oracle)
+            assert ms.squared_overlaps is ms.squared_overlaps
+
+    def test_squared_overlaps_read_only(self, rng):
+        ms = MeasurementSet([random_basis(rng), random_basis(rng)])
+        with pytest.raises(ValueError):
+            ms.squared_overlaps[0, 1, 0, 0] = 0.0
+
+    def test_family_is_an_immutable_set(self):
+        ms = build_family(0.3)
+        assert isinstance(ms, MeasurementSet) and len(ms) == 3
+        m1, m2, m3 = ms
+        assert (m1.label, m2.label, m3.label) == ("M1", "M2", "M3")
+        with pytest.raises(TypeError):
+            ms[0] = m3
 
 
 class TestRayFidelity:

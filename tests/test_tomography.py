@@ -57,6 +57,11 @@ class TestSimulateProjections:
         assert abs(result.fidelity_vs_target - 1.0) < 1e-9
         assert_allclose(result.rho.matrix, rho.matrix, atol=1e-9)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_non_qutrit_state(self, dim):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            simulate_projections(DensityOperator(np.eye(dim) / dim))
+
 
 class TestTomographyRecord:
     def test_as_dict_round_trip(self):
@@ -207,3 +212,12 @@ class TestFidelity:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError):
             fidelity(np.diag([0.9, 0.0, 0.0]), DensityOperator(np.eye(3) / 3))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_dimension_mismatch(self, dim):
+        rho = DensityOperator(np.eye(3) / 3)
+        other = DensityOperator(np.eye(dim) / dim)
+        ket = np.full(dim, 1.0 / np.sqrt(dim))
+        for call in (lambda: fidelity(rho, other), lambda: fidelity(other, rho), lambda: fidelity_with_ket(rho, ket)):
+            with pytest.raises(ValidationError, match="dimension mismatch"):
+                call()
