@@ -385,6 +385,44 @@ def test_golden_stdout_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 of stdout, recorded before the bounds were compiled into cached
+# pieces: the sweep JSON, two --bounds selections, and a six-basis qubit
+# document, whose report has lmf_best_ordering null and unchecked.
+SELECTION_STDOUT_SHA256 = {
+    ("sweep", "--format", "json"): "cfa263a74b52a954260c4c561e878c76101b603f7546b2593c7a5db62c60d06d",
+    ("bounds", "--family-a", "0.3", "--state", "mixed", "--bounds", "lmf"): "0df7c078988a560835c1030a5bad7007001d1838f4de746d7b613a2a76aa526c",
+    ("bounds", "--family-a", "0.3", "--state", "mixed", "--bounds", "rpz,mu"): "9a7280c3270257e2c0b4b7a02776cf19c26bea6494c93a53212f639bba768dc2",
+}
+_S = 0.7071067811865476
+SIX_QUBIT_BASES = [
+    [[pair(1), pair(0)], [pair(0), pair(1)]],
+    [[pair(_S), pair(_S)], [pair(_S), pair(-_S)]],
+    [[pair(_S), pair(1j * _S)], [pair(_S), pair(-1j * _S)]],
+    [[pair(0.6), pair(0.8)], [pair(0.8), pair(-0.6)]],
+    [[pair(0.8), pair(0.6)], [pair(0.6), pair(-0.8)]],
+    [[pair(0.6), pair(0.8j)], [pair(0.8), pair(-0.6j)]],
+]
+QUBIT_RHO = {"rho": [[pair(0.7), pair(0.1 + 0.2j)], [pair(0.1 - 0.2j), pair(0.3)]]}
+SIX_QUBIT_STDOUT_SHA256 = "ba446ef40c98faae384239d509a4f03292c606b4c1c57f13bbf4980c0c65071b"
+
+
+def test_selection_stdout_digests(capsys):
+    for argv, digest in SELECTION_STDOUT_SHA256.items():
+        code, out, _ = run_cli(list(argv), capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_six_basis_document_stdout_digest(tmp_path, capsys):
+    argv = ["bounds", "--measurements", write_json(tmp_path, "m.json", SIX_QUBIT_BASES),
+            "--state", write_json(tmp_path, "s.json", QUBIT_RHO)]
+    code, out, _ = run_cli(argv, capsys)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["lmf_best_ordering"] is None and "lmf_best_ordering" not in payload["satisfied"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SIX_QUBIT_STDOUT_SHA256
+
+
 def test_sweep_csv_matches_benchmark_reference():
     # the grid of `eurkit sweep --steps 1001`, which the family_sweep
     # benchmark checks against the digest recorded in reference.json
