@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from eurkit.bounds import bound_report
-from eurkit.family import build_family
+from eurkit.family import SWEEP_BOUNDS, build_family
 from eurkit.sampling import random_density
 
 
@@ -23,8 +23,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--slack", type=float, default=1e-9, help="allowed dominance slack")
     args = parser.parse_args()
+    if args.n < 1:
+        parser.error(f"--n must be at least 1, got {args.n}")
+    if not (math.isfinite(args.slack) and args.slack >= 0.0):
+        parser.error(f"--slack must be finite and >= 0, got {args.slack}")
     rng = np.random.default_rng(args.seed)
-    worst = {"scb": math.inf, "lmf": math.inf, "rpz": math.inf}
+    worst = dict.fromkeys(SWEEP_BOUNDS, math.inf)
     violations = 0
     for i in range(args.n):
         rho = random_density(rng, pure=bool(i % 2))

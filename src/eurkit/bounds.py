@@ -1,23 +1,26 @@
 """Lower bounds on the sum of measurement entropies for projective bases.
 
-Three families of bounds are implemented, plus the pairwise log-overlap
-bound they all generalize.  The two state-dependent ones have the form
-"a constant from the measurements, plus a multiple of S(rho)":
+Every bound of a set of N measurements is max(0, max over its pieces
+(c, a) of c + a S(rho)): the constants c and coefficients a depend on the
+measurements only, S(rho) is the state's von Neumann entropy in bits, and a
+negative lower bound on entropies is vacuous, hence the clamp.
 
-- ``scb_bound``: max over chain lengths k of -1/2 log2(smallest cyclic
-  overlap product of length k) + (N - k/2) S(rho).
-- ``lmf_bound``: (N - 1) S(rho) - log2 b, with b the chained overlap
-  coefficient of ``lmf_chain_coefficient`` (the pairwise overlap at N = 2).
-- ``rpz_bound``: state-independent, from the majorization profile of the
-  pooled measurement vectors.
+- ``scb_bound``: (0, N), and (-1/2 log2 P_k, N - k/2) for k = 2..N, with
+  P_k the smallest cyclic overlap product of k distinct measurements.
+- ``lmf_bound``: (-log2 b, N - 1), with b the chained overlap coefficient
+  of ``lmf_chain_coefficient`` (the pairwise overlap at N = 2);
+  ``lmf_bound_best_ordering`` takes the smallest b over all orderings.
+- ``rpz_bound``: (entropy of the majorization profile of the pooled
+  measurement vectors, 0), so it needs no state.
 
-All reported bounds are clamped below at 0 (a negative lower bound on
-entropies is vacuous).  Entropies are in bits throughout.  scb and lmf
-read the squared overlaps of a ``MeasurementSet``, computed once per set,
-and enumerate their chains and orderings exhaustively.  Every rpz subset
-is screened on its d x d frame operator, and only the near-maximal ones
-are confirmed on their Gram blocks, for a whole stack of sets at once
-(see ``rpz_profiles``).  All three searches are capped, never heuristic.
+``mu_bound`` is the pairwise log-overlap bound they all generalize.  Each
+bound's pieces are computed on its first use on a ``MeasurementSet`` and
+kept there; an evaluation then costs one entropy (``_evaluate``).  scb and
+lmf read the set's squared overlaps and enumerate chains and orderings
+exhaustively; each rpz subset is screened on its d x d frame operator,
+and only the near-maximal ones are confirmed on their Gram blocks, for a
+stack of sets at once (``rpz_profiles``).  All three searches are
+capped, never heuristic.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .entropy import _entropy_of_clamped, entropy_sum, von_neumann_entropy
 from .linalg import (
     ATOL,
     CapacityError,
+    DensityOperator,
     MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
@@ -62,25 +66,29 @@ def mu_bound(r: ProjectiveMeasurement, s: ProjectiveMeasurement) -> float:
     return max(0.0, -math.log2(overlap_c(r, s)))
 
 
-def scb_bound(measurements, rho) -> float:
-    """Cyclic-chain bound: max over chain lengths k in {0, 2..N} of
-    -1/2 log2(smallest cyclic overlap product of k distinct measurements)
-    + (N - k/2) S(rho); the k = 0 term is N S(rho).
+def _evaluate(ms: MeasurementSet, name: str, pieces, rho=None) -> float:
+    """max(0, max over the pieces (c, a) of bound ``name`` of c + a S(rho)),
+    with ``pieces(ms)`` run on the bound's first use on the set only.  The
+    one place where the bounds check the state's dimension; rpz, whose one
+    piece has a = 0, is evaluated without a state."""
+    kept = ms.memo(name, pieces)
+    s = 0.0
+    if rho is not None:
+        s = von_neumann_entropy(rho)
+        dim = rho.dim if isinstance(rho, DensityOperator) else len(rho)
+        if dim != ms[0].dim:
+            raise ValidationError(f"dimension mismatch: measurement dim {ms[0].dim}, state dim {dim}")
+    return max(0.0, max(c + a * s for c, a in kept))
 
-    Each cycle is enumerated once: from its smallest index only, not once
-    per rotation, and in one direction only (the overlap matrix is
-    symmetric, so a reversed cycle has the same product).
-    Limited to MAX_SCB_MEASUREMENTS measurements.
-    """
-    ms = as_measurements(measurements, minimum=2)
+
+def _scb_pieces(ms: MeasurementSet) -> tuple[tuple[float, float], ...]:
     n = len(ms)
     if n > MAX_SCB_MEASUREMENTS:
         raise CapacityError(f"scb chains limited to {MAX_SCB_MEASUREMENTS} measurements, got {n}")
     # c[i, j] is overlap_c of bases i < j, mirrored; no cycle reads c[i, i].
     c = np.minimum(np.triu(ms.squared_overlaps.max(axis=(2, 3)), 1), 1.0)
     c = c + c.T
-    s = von_neumann_entropy(rho)
-    best = n * s
+    pieces = [(0.0, float(n))]
     for k in range(2, n + 1):
         cycles = (
             (first, *rest)
@@ -89,8 +97,22 @@ def scb_bound(measurements, rho) -> float:
             if rest[0] <= rest[-1]  # equal only for k = 2, whose cycle is its own reverse
         )
         prod_k = min(math.prod(c[cyc[t], cyc[(t + 1) % k]] for t in range(k)) for cyc in cycles)
-        best = max(best, -0.5 * math.log2(prod_k) + (n - k / 2.0) * s)
-    return max(0.0, best)
+        pieces.append((-0.5 * math.log2(prod_k), n - k / 2.0))
+    return tuple(pieces)
+
+
+def scb_bound(measurements, rho) -> float:
+    """Cyclic-chain bound: max over chain lengths k in {0, 2..N} of
+    -1/2 log2(smallest cyclic overlap product of k distinct measurements)
+    + (N - k/2) S(rho); the k = 0 term is N S(rho).
+
+    Each cycle is enumerated once: from its smallest index only, not once
+    per rotation, and in one direction only (the overlap matrix is
+    symmetric, so a reversed cycle has the same product).  Limited to
+    MAX_SCB_MEASUREMENTS measurements.
+    """
+    ms = as_measurements(measurements, minimum=2)
+    return _evaluate(ms, "scb", _scb_pieces, rho)
 
 
 def _chain_coefficient(ms: MeasurementSet, order) -> float:
@@ -116,10 +138,15 @@ def lmf_chain_coefficient(measurements) -> float:
     return _chain_coefficient(ms, range(len(ms)))
 
 
+def _lmf_pieces(ms: MeasurementSet, orders) -> tuple[tuple[float, float], ...]:
+    """The one lmf piece, for the smallest chain coefficient b over ``orders``."""
+    return ((-math.log2(min(_chain_coefficient(ms, order) for order in orders)), len(ms) - 1.0),)
+
+
 def lmf_bound(measurements, rho) -> float:
     """Chained bound (N-1) S(rho) - log2 b; sensitive to measurement order."""
     ms = as_measurements(measurements, minimum=2)
-    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(lmf_chain_coefficient(ms)))
+    return _evaluate(ms, "lmf", lambda ms: _lmf_pieces(ms, [range(len(ms))]), rho)
 
 
 def lmf_bound_best_ordering(measurements, rho) -> float:
@@ -132,8 +159,7 @@ def lmf_bound_best_ordering(measurements, rho) -> float:
     ms = as_measurements(measurements, minimum=2)
     if len(ms) > MAX_ORDERING_SEARCH:
         raise CapacityError(f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {len(ms)}")
-    b = min(_chain_coefficient(ms, order) for order in itertools.permutations(range(len(ms))))
-    return max(0.0, (len(ms) - 1) * von_neumann_entropy(rho) - math.log2(b))
+    return _evaluate(ms, "lmf_best_ordering", lambda ms: _lmf_pieces(ms, itertools.permutations(range(len(ms)))), rho)
 
 
 @dataclass(frozen=True)
@@ -291,7 +317,14 @@ def rpz_profile(measurements) -> MajorizationProfile:
 def rpz_bound(measurements) -> float:
     """State-independent majorization bound of one measurement set, from
     its profile (``MajorizationProfile.entropy_bound``)."""
-    return rpz_profile(measurements).entropy_bound()
+    ms = as_measurements(measurements, minimum=1)
+    return _evaluate(ms, "rpz", lambda ms: ((rpz_profile(ms).entropy_bound(), 0.0),))
+
+
+# Each bound of a BoundReport: its field (also its JSON key) and its CLI
+# --bounds group.  A scalar bound is checked against the entropy total under
+# its own name, a pairwise one against each pair's entropies as "<group>:<pair>".
+BOUNDS = {"scb": "scb", "lmf": "lmf", "lmf_best_ordering": "lmf", "rpz": "rpz", "mu_pairwise": "mu"}
 
 
 @dataclass(frozen=True)
@@ -316,6 +349,10 @@ class BoundReport:
     def all_satisfied(self) -> bool:
         return all(self.satisfied.values())
 
+    def checks(self, groups) -> dict[str, bool]:
+        """The entries of ``satisfied`` whose bounds are in the --bounds ``groups``."""
+        return {key: ok for key, ok in self.satisfied.items() if BOUNDS.get(key, key.partition(":")[0]) in groups}
+
 
 def bound_report(measurements, rho, *, slack: float = 1e-9) -> BoundReport:
     """Evaluate the entropy sum and all bounds, flagging violations.
@@ -331,31 +368,20 @@ def bound_report(measurements, rho, *, slack: float = 1e-9) -> BoundReport:
     breakdown = entropy_sum(ms, rho)
     total = breakdown.total
     per = breakdown.values
-    scb = scb_bound(ms, rho)
-    lmf = lmf_bound(ms, rho)
-    lmf_best = lmf_bound_best_ordering(ms, rho) if len(ms) <= MAX_ORDERING_SEARCH else None
-    rpz = rpz_bound(ms)
-    satisfied = {
-        "scb": total >= scb - slack,
-        "lmf": total >= lmf - slack,
-        "rpz": total >= rpz - slack,
+    pairs = list(itertools.combinations(range(len(ms)), 2))
+    values = {
+        "scb": scb_bound(ms, rho),
+        "lmf": lmf_bound(ms, rho),
+        "lmf_best_ordering": lmf_bound_best_ordering(ms, rho) if len(ms) <= MAX_ORDERING_SEARCH else None,
+        "rpz": rpz_bound(ms),
+        "mu_pairwise": tuple((f"{ms[i].label}|{ms[j].label}", mu_bound(ms[i], ms[j])) for i, j in pairs),
     }
-    if lmf_best is not None:
-        satisfied["lmf_best_ordering"] = total >= lmf_best - slack
-    mu_pairs = []
-    for i, j in itertools.combinations(range(len(ms)), 2):
-        pair = f"{ms[i].label}|{ms[j].label}"
-        value = mu_bound(ms[i], ms[j])
-        mu_pairs.append((pair, value))
-        satisfied[f"mu:{pair}"] = per[i] + per[j] >= value - slack
-    return BoundReport(
-        entropy_total=total,
-        per_measurement=breakdown.per_measurement,
-        scb=scb,
-        lmf=lmf,
-        lmf_best_ordering=lmf_best,
-        rpz=rpz,
-        mu_pairwise=tuple(mu_pairs),
-        satisfied=satisfied,
-        slack=slack,
-    )
+    satisfied = {}
+    for name, group in BOUNDS.items():
+        value = values[name]
+        if isinstance(value, tuple):
+            for (pair, v), (i, j) in zip(value, pairs):
+                satisfied[f"{group}:{pair}"] = per[i] + per[j] >= v - slack
+        elif value is not None:
+            satisfied[name] = total >= value - slack
+    return BoundReport(total, breakdown.per_measurement, satisfied=satisfied, slack=slack, **values)

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .bounds import BoundReport, bound_report
+from .bounds import BOUNDS, BoundReport, bound_report
 from .documents import (
     BUILTIN_STATES,
     builtin_state,
@@ -32,14 +32,14 @@ from .documents import (
     parse_record,
     parse_state,
 )
-from .family import GRID_POINTS_DEFAULT, build_family, sweep
+from .family import GRID_POINTS_DEFAULT, SWEEP_BOUNDS, build_family, sweep
 from .linalg import DataQualityError, ValidationError
 from .pulses import RowCheck, verify_projection_sequence, verify_table
 from .tomography import REFERENCE_RECONSTRUCTION, REFERENCE_TARGET_KET, reconstruct, simulate_projections
 
 DEFAULT_SLACK = 1e-9
 DEFAULT_THRESHOLD = 1.0 - 1e-9
-BOUND_CHOICES = ("scb", "lmf", "rpz", "mu")
+BOUND_CHOICES = tuple(dict.fromkeys(BOUNDS.values()))
 COMMANDS = ("bounds", "sweep", "tomo", "pulse-verify")
 
 
@@ -109,19 +109,18 @@ def render_sig12(value: float) -> str:
     return f"{v:.12g}"
 
 
-def _q12(value: float):
-    """Quantize a float through the 12-digit rendering for JSON payloads."""
+def _q12(value):
+    """Quantize a float, or the values of (label, float) pairs, through the
+    12-digit rendering for JSON payloads."""
     if value is None:
         return None
+    if isinstance(value, tuple):
+        return [[label, _q12(v)] for label, v in value]
     return float(render_sig12(value))
 
 
-def _complex_pair(z: complex) -> list:
-    return [_q12(z.real), _q12(z.imag)]
-
-
 def _matrix_pairs(m) -> list:
-    return [[_complex_pair(z) for z in row] for row in m]
+    return [[[_q12(z.real), _q12(z.imag)] for z in row] for row in m]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -149,38 +148,17 @@ def _slack_from_env() -> float:
     return val
 
 
-def _load_state(spec: str):
-    if spec in BUILTIN_STATES:
-        return builtin_state(spec)
-    return parse_state(load_json(spec), where=spec)
-
-
 def _report_payload(report: BoundReport, selection: tuple[str, ...]) -> dict:
     payload = {
         "labels": list(report.labels),
         "entropy_total": _q12(report.entropy_total),
-        "per_measurement": [[label, _q12(v)] for label, v in report.per_measurement],
+        "per_measurement": _q12(report.per_measurement),
         "slack": _q12(report.slack),
     }
-    satisfied = {}
-    if "scb" in selection:
-        payload["scb"] = _q12(report.scb)
-        satisfied["scb"] = report.satisfied["scb"]
-    if "lmf" in selection:
-        payload["lmf"] = _q12(report.lmf)
-        payload["lmf_best_ordering"] = _q12(report.lmf_best_ordering)
-        satisfied["lmf"] = report.satisfied["lmf"]
-        if "lmf_best_ordering" in report.satisfied:
-            satisfied["lmf_best_ordering"] = report.satisfied["lmf_best_ordering"]
-    if "rpz" in selection:
-        payload["rpz"] = _q12(report.rpz)
-        satisfied["rpz"] = report.satisfied["rpz"]
-    if "mu" in selection:
-        payload["mu_pairwise"] = [[pair, _q12(v)] for pair, v in report.mu_pairwise]
-        for key, ok in report.satisfied.items():
-            if key.startswith("mu:"):
-                satisfied[key] = ok
-    payload["satisfied"] = satisfied
+    for name, group in BOUNDS.items():
+        if group in selection:
+            payload[name] = _q12(getattr(report, name))
+    payload["satisfied"] = satisfied = report.checks(selection)
     payload["all_satisfied"] = all(satisfied.values())
     return payload
 
@@ -191,7 +169,8 @@ def cmd_bounds(config: RunConfig) -> int:
         measurements = parse_measurements(load_json(config.measurements_path), where=config.measurements_path)
     else:
         measurements = build_family(config.family_a)
-    rho = _load_state(config.state)
+    spec = config.state
+    rho = builtin_state(spec) if spec in BUILTIN_STATES else parse_state(load_json(spec), where=spec)
     report = bound_report(measurements, rho, slack=slack)
     payload = _report_payload(report, config.bound_selection)
     _emit(_json_text(payload), config.out_path)
@@ -202,24 +181,15 @@ def cmd_bounds(config: RunConfig) -> int:
     return 0
 
 
-SWEEP_HEADER = "a,state,entropy_total,scb,lmf,rpz"
+SWEEP_VALUES = ("entropy_total", *SWEEP_BOUNDS)
+SWEEP_HEADER = ",".join(("a", "state", *SWEEP_VALUES))
 
 
 def sweep_csv(rows) -> str:
     lines = [SWEEP_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    render_sig12(r.a),
-                    r.state_label,
-                    render_sig12(r.entropy_total),
-                    render_sig12(r.scb),
-                    render_sig12(r.lmf),
-                    render_sig12(r.rpz),
-                )
-            )
-        )
+        values = (render_sig12(getattr(r, c)) for c in SWEEP_VALUES)
+        lines.append(",".join((render_sig12(r.a), r.state_label, *values)))
     return "\n".join(lines) + "\n"
 
 
@@ -230,17 +200,7 @@ def cmd_sweep(config: RunConfig) -> int:
     if config.output_format == "csv":
         _emit(sweep_csv(rows), config.out_path)
     else:
-        payload = [
-            {
-                "a": _q12(r.a),
-                "state": r.state_label,
-                "entropy_total": _q12(r.entropy_total),
-                "scb": _q12(r.scb),
-                "lmf": _q12(r.lmf),
-                "rpz": _q12(r.rpz),
-            }
-            for r in rows
-        ]
+        payload = [{"a": _q12(r.a), "state": r.state_label, **{c: _q12(getattr(r, c)) for c in SWEEP_VALUES}} for r in rows]
         _emit(_json_text(payload), config.out_path)
     return 0
 

@@ -25,6 +25,8 @@ GRID_POINTS_DEFAULT = 101
 # 9 kets screen in one eigvalsh call of 4096 3 x 3 frame operators.  Each
 # further set in a chunk adds about 70 kB to the peak memory and little speed.
 SWEEP_CHUNK = 16
+# The bounds of a SweepRow, in the column order of the sweep's CSV and JSON.
+SWEEP_BOUNDS = ("scb", "lmf", "rpz")
 
 _E0, _E1, _E2 = np.eye(3, dtype=complex)
 _M1 = ProjectiveMeasurement(np.array([_E0, _E1, _E2]), "M1")
@@ -101,14 +103,6 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
         for a, ms, profile in zip(chunk, sets, profiles):
             rpz = profile.entropy_bound()
             for label, rho in pairs:
-                rows.append(
-                    SweepRow(
-                        a=a,
-                        state_label=label,
-                        entropy_total=entropy_sum(ms, rho).total,
-                        scb=scb_bound(ms, rho),
-                        lmf=lmf_bound(ms, rho),
-                        rpz=rpz,
-                    )
-                )
+                total = entropy_sum(ms, rho).total
+                rows.append(SweepRow(a, label, total, scb=scb_bound(ms, rho), lmf=lmf_bound(ms, rho), rpz=rpz))
     return rows

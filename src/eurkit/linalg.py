@@ -132,6 +132,10 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", spectrum)
 
+    def __reduce__(self):
+        # copies and unpickled states are admitted again, read-only
+        return DensityOperator, (self.matrix,)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -166,6 +170,9 @@ class ProjectiveMeasurement:
         b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
+    def __reduce__(self):
+        return ProjectiveMeasurement, (self.basis, self.label)
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -179,7 +186,9 @@ class MeasurementSet(tuple):
     """An admitted, immutable list of projective measurements of one dimension.
 
     A tuple, so it indexes and unpacks like a list.  ``squared_overlaps`` is
-    computed on first use and shared by every bound evaluated on the set.
+    computed on first use and shared by every bound evaluated on the set;
+    so are the bounds' pieces, kept by ``memo``.  A copy or an unpickled
+    set is built again from its measurements, with nothing cached.
     """
 
     def __new__(cls, measurements):
@@ -189,6 +198,17 @@ class MeasurementSet(tuple):
         if len({m.dim for m in ms}) != 1:
             raise ValidationError("measurements must share one dimension")
         return super().__new__(cls, ms)
+
+    def __reduce__(self):
+        return MeasurementSet, (tuple(self),)
+
+    def memo(self, key: str, compute):
+        """``compute(self)``, computed on the first call with ``key`` and kept;
+        the value should be immutable (the bounds keep tuples of floats)."""
+        kept = self.__dict__.setdefault("_memo", {})
+        if key not in kept:
+            kept[key] = compute(self)
+        return kept[key]
 
     @functools.cached_property
     def squared_overlaps(self) -> np.ndarray:

@@ -545,3 +545,61 @@ class TestBoundReport:
                 assert lmf_chain_coefficient(as_set) == lmf_chain_coefficient(ms)
                 assert rpz_bound(as_set) == rpz_bound(ms)
                 assert entropy_sum(as_set, rho) == entropy_sum(ms, rho)
+
+
+@pytest.mark.parametrize("bound", [scb_bound, lmf_bound, lmf_bound_best_ordering])
+@pytest.mark.parametrize("rho", [np.eye(4) / 4, DensityOperator(np.eye(2) / 2)])
+def test_state_of_another_dimension_is_refused(bound, rho):
+    # a 4 x 4 state once gave scb 6.0, above the largest entropy sum 3 log2 3
+    with pytest.raises(ValidationError, match="^dimension mismatch: measurement dim 3, state dim "):
+        bound(build_family(0.3), rho)
+
+
+class TestPieceCache:
+    def test_reused_set_gives_fresh_set_values(self, rng):
+        for d, n in ((2, 2), (3, 3), (2, 4), (3, 5)):
+            bases = random_set(rng, d, n)
+            states = [random_density(rng, d), random_density(rng, d, pure=True)]
+            reused = MeasurementSet(bases)
+            for rho in (states[0], states[1], states[0]):
+                for bound in (scb_bound, lmf_bound, lmf_bound_best_ordering):
+                    assert bound(reused, rho) == bound(MeasurementSet(bases), rho)
+                assert rpz_bound(reused) == rpz_bound(MeasurementSet(bases))
+                assert bound_report(reused, rho) == bound_report(MeasurementSet(bases), rho)
+
+    def test_pieces_are_computed_once_per_set(self, rng, monkeypatch):
+        products, chains = [], []
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def prod(self, factors):
+                products.append(None)
+                return math.prod(factors)
+
+        def counting_chain(ms, order):
+            chains.append(tuple(order))
+            return chain_coefficient(ms, order)
+
+        chain_coefficient = eurkit.bounds._chain_coefficient
+        monkeypatch.setattr(eurkit.bounds, "math", RecordingMath())
+        monkeypatch.setattr(eurkit.bounds, "_chain_coefficient", counting_chain)
+        ms = MeasurementSet(random_set(rng, 3, 4))
+        first = scb_bound(ms, random_density(rng)), lmf_bound(ms, random_density(rng))
+        assert products and chains == [(0, 1, 2, 3)]
+        del products[:], chains[:]
+        second = scb_bound(ms, random_density(rng)), lmf_bound(ms, random_density(rng))
+        assert products == [] and chains == []
+        assert second != first
+
+    def test_scb_and_lmf_compute_no_rpz_profile(self, rng, monkeypatch):
+        def no_profile(*args):
+            raise AssertionError("an rpz profile was computed")
+
+        monkeypatch.setattr(eurkit.bounds, "_stack_profiles", no_profile)
+        ms = build_family(0.3)
+        rho = random_density(rng)
+        scb_bound(ms, rho)
+        lmf_bound(ms, rho)
+        lmf_bound_best_ordering(ms, rho)

@@ -146,3 +146,23 @@ class TestSweep:
         with pytest.raises(ValidationError) as alone:
             build_family(1.4)
         assert str(stacked.value) == str(alone.value)
+
+
+def test_sweep_stacks_one_rpz_call_per_chunk(monkeypatch):
+    import eurkit.bounds
+    import eurkit.family
+
+    calls = []
+
+    def counting(sets):
+        calls.append(len(sets))
+        return stack(sets)
+
+    def no_profile(*args):
+        raise AssertionError("a grid point's rpz profile was computed on its own")
+
+    stack = eurkit.family.rpz_profiles
+    monkeypatch.setattr(eurkit.family, "rpz_profiles", counting)
+    monkeypatch.setattr(eurkit.bounds, "rpz_profile", no_profile)
+    sweep(np.linspace(0.0, 1.0, 2 * SWEEP_CHUNK + 3))
+    assert calls == [SWEEP_CHUNK, SWEEP_CHUNK, 3]

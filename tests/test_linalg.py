@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -352,3 +354,22 @@ def test_as_state_vector_norm_gate(weights):
     if abs(norm - 1.0) > 1e-6:
         with pytest.raises(ValidationError):
             as_state_vector(v)
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))], ids=["deepcopy", "pickle"])
+def test_copies_are_admitted_again_read_only(rng, duplicate):
+    rho = DensityOperator(np.diag([0.5, 0.3, 0.2]))
+    m = ProjectiveMeasurement(random_basis(rng).basis, "R")
+    ms = MeasurementSet([m, random_basis(rng)])
+    ms.squared_overlaps  # fill both caches before copying
+    ms.memo("key", lambda _: (1.0,))
+    rho2, m2, ms2 = duplicate(rho), duplicate(m), duplicate(ms)
+    assert np.array_equal(rho2.matrix, rho.matrix) and np.array_equal(rho2.spectrum, rho.spectrum)
+    assert np.array_equal(m2.basis, m.basis) and m2.label == "R"
+    assert type(ms2) is MeasurementSet and [b.label for b in ms2] == [b.label for b in ms]
+    assert "squared_overlaps" not in ms2.__dict__  # recomputed, not carried over
+    assert ms2.memo("key", lambda _: (2.0,)) == (2.0,)
+    for arr in (rho2.matrix, rho2.spectrum, m2.basis, ms2[0].basis, ms2.squared_overlaps):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    assert np.array_equal(ms2.squared_overlaps, ms.squared_overlaps)

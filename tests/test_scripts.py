@@ -35,3 +35,10 @@ def test_pulse_table_report():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "all rows verified"
     assert lines[:-1] and all(line.startswith("row ") and "  pass  " in line for line in lines[:-1])
+
+
+def test_dominance_scan_refuses_bad_arguments():
+    for args in (("--n", "0"), ("--n", "-3"), ("--slack", "nan"), ("--slack", "-1")):
+        proc = run_script("dominance_scan.py", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and "error: --" in proc.stderr and "Traceback" not in proc.stderr, args
