@@ -39,6 +39,7 @@ from .linalg import (
     MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
+    as_density_operator,
     as_measurements,
     overlap_c,
 )
@@ -365,6 +366,9 @@ def bound_report(measurements, rho, *, slack: float = 1e-9) -> BoundReport:
     ms = as_measurements(measurements, minimum=2)
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ValidationError(f"slack must be a finite non-negative float, got {slack!r}")
+    # A raw array is admitted once, as entropy_sum's Born probabilities
+    # would admit it, and every bound then reads the admitted spectrum.
+    rho = as_density_operator(rho)
     breakdown = entropy_sum(ms, rho)
     total = breakdown.total
     per = breakdown.values

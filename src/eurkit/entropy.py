@@ -6,7 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, DensityOperator, ValidationError, as_density_matrix, as_measurements, born_probabilities
+from .linalg import (
+    ATOL,
+    DensityOperator,
+    ValidationError,
+    as_density_matrix,
+    as_density_operator,
+    as_measurements,
+    born_probabilities,
+)
 
 
 def _entropy_of_clamped(values: np.ndarray) -> float:
@@ -15,7 +23,7 @@ def _entropy_of_clamped(values: np.ndarray) -> float:
     if v.size == 0:
         return 0.0
     # + 0.0 turns the -0.0 of deterministic vectors into plain 0.0.
-    return float(-np.sum(v * np.log2(v)) + 0.0)
+    return float(-(v * np.log2(v)).sum() + 0.0)
 
 
 def shannon_entropy(probabilities) -> float:
@@ -82,6 +90,9 @@ class EntropyBreakdown:
 def entropy_sum(measurements, rho) -> EntropyBreakdown:
     """Sum of measurement entropies sum_m H(M_m) for one state, in bits."""
     ms = as_measurements(measurements, minimum=1)
+    # A raw array is admitted once here, with born_probabilities' own
+    # window and messages, not once per measurement.
+    rho = as_density_operator(rho)
     # born_probabilities has already checked each vector as a distribution.
     pairs = tuple((m.label, _entropy_of_clamped(born_probabilities(m, rho))) for m in ms)
     return EntropyBreakdown(per_measurement=pairs, total=float(sum(h for _, h in pairs)))

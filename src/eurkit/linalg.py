@@ -12,10 +12,14 @@ the window is rejected as bad data (DataQualityError, which the CLI reports
 as "data-quality") rather than silently repaired.
 
 Each kind of input is checked once: outside values become arrays only in
-``as_complex_array``, density matrices pass one admission (behind both
-``as_density_matrix`` and ``DensityOperator``, which keeps the admitted
-spectrum) and measurement lists become a ``MeasurementSet``, which
-``as_measurements`` passes through and which computes its overlaps once.
+``as_complex_array``, density matrices pass one admission (behind
+``as_density_matrix``, ``DensityOperator`` and ``as_density_operator``; the
+last two keep the admitted spectrum) and measurement lists become a
+``MeasurementSet``, which ``as_measurements`` passes through and which
+computes its overlaps once.  ``hermitian_eigen``, ``matrix_sqrt_psd`` and
+``ray_fidelity`` check their input and call a kernel (``_gauged_eigh``,
+``_sqrt_psd``, ``_ray_fidelity``) that the other modules call directly on
+arrays they have already admitted or built.
 """
 
 from __future__ import annotations
@@ -54,9 +58,8 @@ def as_complex_array(value, *, name: str = "array") -> np.ndarray:
     except (ValueError, TypeError):
         # Ragged nesting or non-numeric entries.
         raise ValidationError(f"{name} is not a rectangular array of numbers") from None
-    # isfinite is not defined for complex; check the parts (works for any
-    # memory layout, unlike a float view).
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    # isfinite of a complex entry is true only when both parts are finite.
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -76,7 +79,7 @@ def _check_hermitian(matrix: np.ndarray, *, name: str) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"{name} must be a square matrix")
     adjoint = matrix.conj().T
-    dev = float(np.max(np.abs(matrix - adjoint), initial=0.0))
+    dev = float(abs(matrix - adjoint).max(initial=0.0))
     if dev > ATOL:
         raise ValidationError(f"{name} is not Hermitian within tolerance (dev {dev:.3e})")
     # Symmetrize away representation-level asymmetry below tolerance so the
@@ -91,7 +94,7 @@ def _admit_density(value, *, psd_tol: float, name: str) -> tuple[np.ndarray, np.
     if abs(tr - 1.0) > ATOL:
         raise ValidationError(f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e}")
     spectrum = np.linalg.eigvalsh(m)
-    lo = float(spectrum.min())
+    lo = float(spectrum[0])  # eigvalsh returns ascending eigenvalues
     if lo < -psd_tol:
         raise DataQualityError(
             f"{name} has eigenvalue {lo:.4e} below the admission window -{psd_tol:g}"
@@ -126,7 +129,9 @@ class DensityOperator:
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m, spectrum = _admit_density(self.matrix, psd_tol=ATOL, name="density matrix")
+        self._keep(*_admit_density(self.matrix, psd_tol=ATOL, name="density matrix"))
+
+    def _keep(self, m: np.ndarray, spectrum: np.ndarray) -> None:
         m.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -147,6 +152,21 @@ class DensityOperator:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+
+def as_density_operator(value, *, name: str = "rho") -> DensityOperator:
+    """Admit a state once, in the strict ATOL window, as a DensityOperator.
+
+    A DensityOperator passes through.  A raw array passes the same
+    admission as ``as_density_matrix(value, psd_tol=ATOL)`` (same errors,
+    named ``name``) and keeps the spectrum found there, so the callers it
+    is handed to diagonalize nothing again.
+    """
+    if isinstance(value, DensityOperator):
+        return value
+    rho = object.__new__(DensityOperator)
+    rho._keep(*_admit_density(value, psd_tol=ATOL, name=name))
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,13 +254,20 @@ def hermitian_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     each eigenvector's phase is fixed so its largest-magnitude component
     is real and positive.  Vectors are the columns of the second return.
     """
-    m = _check_hermitian(as_complex_array(matrix, name="matrix"), name="matrix")
+    return _gauged_eigh(_check_hermitian(as_complex_array(matrix, name="matrix"), name="matrix"))
+
+
+def _gauged_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eigen`` of a matrix that is already an exactly Hermitian complex array."""
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        k = int(np.argmax(np.abs(vecs[:, j])))
+    # The pivot of each column (argmax has no answer for a 0 x 0 matrix),
+    # then one scalar phase per column: a broadcast of all the phases at
+    # once rounds differently.
+    pivots = abs(vecs).argmax(axis=0).tolist() if vecs.size else []
+    for j, k in enumerate(pivots):
         pivot = vecs[k, j]
         vecs[:, j] *= np.conj(pivot) / abs(pivot)
     return vals, vecs
@@ -254,7 +281,7 @@ def born_probabilities(measurement: ProjectiveMeasurement, rho) -> np.ndarray:
             f"dimension mismatch: measurement dim {measurement.dim}, state dim {r.shape[0]}"
         )
     amps = np.einsum("id,de,ie->i", measurement.basis.conj(), r, measurement.basis)
-    if np.max(np.abs(amps.imag)) > ATOL:
+    if abs(amps.imag).max() > ATOL:
         raise ValidationError("Born probabilities have imaginary part beyond tolerance")
     p = amps.real
     if p.min() < -ATOL or abs(p.sum() - 1.0) > ATOL:
@@ -277,18 +304,26 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
     Eigenvalues in [-ATOL, 0) are clamped to zero; anything lower raises,
     since a square root of a genuinely indefinite operator is undefined.
     """
-    m = _check_hermitian(as_complex_array(matrix, name="matrix"), name="matrix")
+    return _sqrt_psd(_check_hermitian(as_complex_array(matrix, name="matrix"), name="matrix"))
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """``matrix_sqrt_psd`` of a matrix that is already an exactly Hermitian complex array."""
     vals, vecs = np.linalg.eigh(m)
-    if vals.min() < -ATOL:
-        raise ValidationError(f"matrix is not PSD within tolerance (min eigenvalue {vals.min():.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    lo = float(vals.min())
+    if lo < -ATOL:
+        raise ValidationError(f"matrix is not PSD within tolerance (min eigenvalue {lo:.3e})")
+    # np.maximum is the ufunc np.clip(vals, 0.0, None) calls
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
 def ray_fidelity(psi, phi) -> float:
     """Squared overlap of two kets as rays (global phase ignored)."""
-    a = as_state_vector(psi, name="psi")
-    b = as_state_vector(phi, name="phi")
+    return _ray_fidelity(as_state_vector(psi, name="psi"), as_state_vector(phi, name="phi"))
+
+
+def _ray_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """``ray_fidelity`` of two checked kets."""
     if a.size != b.size:
         raise ValidationError("ray fidelity requires equal-dimension kets")
     return float(min(abs(np.vdot(a, b)) ** 2, 1.0))

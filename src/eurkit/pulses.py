@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, as_state_vector, ray_fidelity
+from .linalg import ValidationError, _ray_fidelity, as_state_vector
 
 _SQ = math.sqrt
 
@@ -74,13 +74,18 @@ class Pulse:
         object.__setattr__(self, "angle", float(self.angle))
 
 
+# Every pulse unitary starts as this identity; its channel overwrites the
+# driven 2x2 block (a copy is cheaper than a fresh np.eye).
+_IDENTITY = np.eye(3, dtype=complex)
+
+
 def pulse_unitary(pulse: Pulse) -> np.ndarray:
     """The 3x3 unitary of one pulse."""
     a, b = pulse.channel.subspace
     c = math.cos(pulse.angle / 2.0)
     s = math.sin(pulse.angle / 2.0)
     ph = np.exp(1j * pulse.channel.phase)
-    u = np.eye(3, dtype=complex)
+    u = _IDENTITY.copy()
     u[a, a] = c
     u[b, b] = c
     u[a, b] = -1j * s / ph
@@ -174,7 +179,8 @@ class RowCheck:
 def verify_projection_sequence(target, pulses) -> float:
     """Apply a pulse sequence to |0> and return ray fidelity to the target."""
     prepared = apply_pulses(pulses)
-    return ray_fidelity(target, prepared)
+    # |0> under unitaries is normalized already: only the target is checked.
+    return _ray_fidelity(as_state_vector(target, name="psi"), prepared)
 
 
 def verify_row(row: TableRow, *, threshold: float = 1.0 - 1e-9) -> RowCheck:

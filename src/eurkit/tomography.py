@@ -20,6 +20,7 @@ eigenvalue and exercises the experimental data window end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,11 @@ from .linalg import (
     DataQualityError,
     DensityOperator,
     ValidationError,
+    _gauged_eigh,
+    _sqrt_psd,
     as_complex_array,
     as_density_matrix,
     as_state_vector,
-    hermitian_eigen,
-    matrix_sqrt_psd,
 )
 
 _E0, _E1, _E2 = np.eye(3, dtype=complex)
@@ -80,12 +81,13 @@ def fidelity(rho, sigma) -> float:
     s = as_density_matrix(sigma, psd_tol=ATOL, name="sigma")
     if r.shape != s.shape:
         raise ValidationError(f"dimension mismatch: rho dim {r.shape[0]}, sigma dim {s.shape[0]}")
-    root = matrix_sqrt_psd(s)
+    # s is admitted (exactly Hermitian), so its root needs no second check
+    root = _sqrt_psd(s)
     inner = root @ r @ root
     inner = 0.5 * (inner + inner.conj().T)
     w = np.linalg.eigvalsh(inner)
-    w = np.where(w < NOISE_FLOOR, 0.0, w)
-    return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
+    w[w < NOISE_FLOOR] = 0.0
+    return min(max(float(np.sqrt(w).sum()), 0.0), 1.0)
 
 
 def fidelity_with_ket(rho, ket) -> float:
@@ -94,12 +96,15 @@ def fidelity_with_ket(rho, ket) -> float:
     Agrees with ``fidelity(rho, |psi><psi|)`` to within 1e-9 but skips
     the matrix square roots.
     """
-    r = as_density_matrix(rho, name="rho")
-    psi = as_state_vector(ket, name="target")
+    return _ket_fidelity(as_density_matrix(rho, name="rho"), as_state_vector(ket, name="target"))
+
+
+def _ket_fidelity(r: np.ndarray, psi: np.ndarray) -> float:
+    """``fidelity_with_ket`` of an admitted matrix and a checked ket."""
     if psi.size != r.shape[0]:
         raise ValidationError(f"dimension mismatch: rho dim {r.shape[0]}, target dim {psi.size}")
     val = float(np.vdot(psi, r @ psi).real)
-    return float(np.clip(np.sqrt(max(val, 0.0)), 0.0, 1.0))
+    return min(math.sqrt(max(val, 0.0)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ class TomographyRecord:
         total = 0.0
         for name, values in sets.items():
             vals = tuple(float(v) for v in values)
-            if len(vals) != 4 or not all(np.isfinite(vals)):
+            if len(vals) != 4 or not all(math.isfinite(v) for v in vals):
                 raise ValidationError(f"{name} must hold four finite projection values")
             for v in vals:
                 if v < -ATOL or v > 1.0 + ATOL:
@@ -181,17 +186,26 @@ def project_physical(matrix) -> DensityOperator:
     m = as_complex_array(matrix, name="matrix")
     if m.shape != (3, 3):
         raise ValidationError("expected a 3x3 matrix")
+    return _clamped(_unit_trace(m))
+
+
+def _unit_trace(m: np.ndarray) -> np.ndarray:
+    """A finite complex 3x3 matrix, hermitized and divided by its trace."""
     m = 0.5 * (m + m.conj().T)
     tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_WINDOW:
         raise DataQualityError(f"trace {tr:.4f} outside 1 +/- {TRACE_WINDOW}")
-    m = m / tr
-    vals, vecs = hermitian_eigen(m)
-    if vals.min() < -DATA_PSD_TOL:
-        raise DataQualityError(
-            f"eigenvalue {vals.min():.4e} below the admission window -{DATA_PSD_TOL:g}"
-        )
-    vals = np.clip(vals, 0.0, None)
+    return m / tr
+
+
+def _clamped(m: np.ndarray) -> DensityOperator:
+    """``project_physical``'s clamp of a ``_unit_trace`` matrix, which is
+    exactly Hermitian and so goes to the eigensolver unchecked."""
+    vals, vecs = _gauged_eigh(m)
+    lo = float(vals[-1])  # descending
+    if lo < -DATA_PSD_TOL:
+        raise DataQualityError(f"eigenvalue {lo:.4e} below the admission window -{DATA_PSD_TOL:g}")
+    vals = np.maximum(vals, 0.0)  # the ufunc np.clip(vals, 0.0, None) calls
     vals = vals / vals.sum()
     repaired = (vecs * vals) @ vecs.conj().T
     return DensityOperator(repaired)
@@ -216,14 +230,17 @@ def reconstruct(record: TomographyRecord, *, target_ket=None) -> ReconstructionR
     """Rebuild the density matrix a projection record encodes."""
     if not isinstance(record, TomographyRecord):
         raise ValidationError("reconstruct expects a TomographyRecord")
+    # A record's twelve finite floats make a finite complex 3x3 matrix, so
+    # the raw matrix skips project_physical's coercion.
     raw = _raw_from_record(record)
-    rho = project_physical(raw)
+    unit = _unit_trace(raw)
+    rho = _clamped(unit)
     fid = None
     if target_ket is not None:
         # Fidelity is quoted for the reconstruction as measured: hermitized
-        # and trace-normalized, but without the PSD clamp.
-        raw_h = 0.5 * (raw + raw.conj().T)
-        fid = fidelity_with_ket(raw_h / raw_h.trace().real, target_ket)
+        # and trace-normalized, but without the PSD clamp.  _clamped has
+        # just checked that matrix's window.
+        fid = _ket_fidelity(unit, as_state_vector(target_ket, name="target"))
     raw.flags.writeable = False
     return ReconstructionResult(
         raw_rho=raw,

@@ -25,6 +25,7 @@ from eurkit.entropy import entropy_sum, von_neumann_entropy
 from eurkit.family import build_family
 from eurkit.linalg import (
     CapacityError,
+    DataQualityError,
     DensityOperator,
     MeasurementSet,
     ProjectiveMeasurement,
@@ -545,6 +546,51 @@ class TestBoundReport:
                 assert lmf_chain_coefficient(as_set) == lmf_chain_coefficient(ms)
                 assert rpz_bound(as_set) == rpz_bound(ms)
                 assert entropy_sum(as_set, rho) == entropy_sum(ms, rho)
+
+
+def test_raw_array_state_is_diagonalized_once(rng, monkeypatch):
+    # entropy_sum used to admit a raw array once per measurement, and each of
+    # scb, lmf and lmf_best_ordering admitted and diagonalized it again: 9
+    # eigvalsh of one matrix per report.  The values are those of the
+    # DensityOperator of the same matrix.
+    ms = build_family(0.3)
+    for state in (np.eye(3) / 3, np.array(random_density(rng).matrix)):
+        admitted = DensityOperator(state)
+        expected = bound_report(ms, admitted)  # also computes the set's pieces and rpz
+        expected_sum = entropy_sum(ms, admitted)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert bound_report(ms, state) == expected
+        assert len(calls) == 1 and np.array_equal(calls[0], admitted.matrix)
+        calls.clear()
+        assert entropy_sum(ms, state) == expected_sum
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (np.diag([1.0 + 1e-6, -1e-6, 0.0]), r"rho has eigenvalue -1\.0000e-06 below the admission window -1e-09"),
+        (np.diag([0.5, 0.6, -0.1]), r"rho has eigenvalue -1\.0000e-01 below the admission window -1e-09"),
+        (np.array([[0.5, 1e-6], [0.0, 0.5]]), r"rho is not Hermitian within tolerance \(dev 1\.000e-06\)"),
+        (np.eye(2) / 2, r"dimension mismatch: measurement dim 3, state dim 2"),
+        (np.diag([0.5, 0.5, 0.1]), r"rho trace deviates from 1 by 1\.000e-01"),
+    ],
+)
+@pytest.mark.parametrize("call", [bound_report, entropy_sum])
+def test_raw_array_state_is_refused_as_by_born_probabilities(call, state, message):
+    # the one admission keeps the strict window, order and messages of the
+    # per-measurement admission in born_probabilities
+    error = DataQualityError if "eigenvalue" in message else ValidationError
+    with pytest.raises(error, match=f"^{message}$"):
+        call(build_family(0.3), state)
 
 
 @pytest.mark.parametrize("bound", [scb_bound, lmf_bound, lmf_bound_best_ordering])

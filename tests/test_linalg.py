@@ -17,6 +17,7 @@ from eurkit.linalg import (
     ProjectiveMeasurement,
     ValidationError,
     as_density_matrix,
+    as_density_operator,
     as_measurements,
     as_state_vector,
     born_probabilities,
@@ -67,6 +68,45 @@ def random_hermitian(rng, scale=1.0):
     return scale * 0.5 * (z + z.conj().T)
 
 
+def hermitian_eigen_oracle(matrix):
+    """``hermitian_eigen`` as it was before its kernel was split out: one
+    argmax and one scalar phase per column, in a loop."""
+    m = np.asarray(matrix, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for j in range(vecs.shape[1]):
+        k = int(np.argmax(np.abs(vecs[:, j])))
+        pivot = vecs[k, j]
+        vecs[:, j] *= np.conj(pivot) / abs(pivot)
+    return vals, vecs
+
+
+def matrix_sqrt_psd_oracle(matrix):
+    """``matrix_sqrt_psd`` as it was before its kernel was split out."""
+    m = np.asarray(matrix, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if vals.min() < -ATOL:
+        raise ValidationError("not PSD")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def oracle_matrices(rng):
+    """Seeded Hermitian matrices, among them degenerate spectra and
+    eigenvectors whose largest components tie in magnitude."""
+    u = random_basis(rng).basis
+    yield from (random_hermitian(rng, scale=rng.uniform(0.1, 5.0)) for _ in range(30))
+    yield from (random_density(rng, pure=bool(i % 2)).matrix for i in range(30))
+    yield from (np.eye(3), np.zeros((3, 3)), np.ones((3, 3)) / 3, np.diag([0.5, 0.25, 0.25]), np.diag([0.2, 0.2, 0.6]))
+    yield from ((u * spectrum) @ u.conj().T for spectrum in ([0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [1 / 3] * 3))
+    # eigenvectors (1, +-1, 0)/sqrt2 and (1, 1, 1)/sqrt3 and the Fourier kets
+    yield from (np.array([[a, b, 0.0], [b, a, 0.0], [0.0, 0.0, c]]) for a, b, c in ((0.5, 0.25, 0.0), (0.4, 0.4, 0.2), (1.0, -1.0, 1.0)))
+    yield from ((FOURIER_QUTRIT.conj().T * spectrum) @ FOURIER_QUTRIT for spectrum in ([0.5, 0.3, 0.2], [0.5, 0.25, 0.25]))
+    yield REFERENCE_RECONSTRUCTION
+
+
 class TestHermitianEigen:
     def test_identity(self):
         vals, vecs = hermitian_eigen(np.eye(3))
@@ -105,6 +145,13 @@ class TestHermitianEigen:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_matches_pre_split_oracle(self, rng):
+        for m in oracle_matrices(rng):
+            vals, vecs = hermitian_eigen(m)
+            expected_vals, expected_vecs = hermitian_eigen_oracle(m)
+            assert vals.tobytes() == expected_vals.tobytes()
+            assert vecs.tobytes() == expected_vecs.tobytes()
 
 
 class TestOverlapC:
@@ -192,6 +239,12 @@ class TestMatrixSqrtPsd:
         with pytest.raises(ValidationError):
             matrix_sqrt_psd(np.diag([1.0, -1.0, 0.5]))
 
+    def test_matches_pre_split_oracle(self, rng):
+        for m in oracle_matrices(rng):
+            if np.linalg.eigvalsh(m).min() < -ATOL:
+                continue  # both refuse it
+            assert matrix_sqrt_psd(m).tobytes() == matrix_sqrt_psd_oracle(m).tobytes()
+
     def test_rejects_reference_matrix_negativity(self):
         # the bundled experimental matrix dips to about -3.8e-3, which is
         # inside the data admission window but outside the strict PSD
@@ -245,6 +298,49 @@ class TestDensityOperator:
         m[0, 1] = 1.1 * ATOL
         with pytest.raises(ValidationError, match=r"not Hermitian within tolerance \(dev 1\.100e-09\)"):
             DensityOperator(m)
+
+
+NON_FINITE = [
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [0.0, -np.inf]]),
+    np.array([[complex(np.nan, 0.0), 0.0], [0.0, 1.0]]),
+    np.array([[1.0, complex(np.inf, 1.0)], [0.0, 1.0]]),
+    np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [complex(1.0, -np.inf), 1.0]]),
+    [[1.0, complex(0.0, np.inf)], [0.0, 1.0]],
+]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=range(len(NON_FINITE)))
+def test_non_finite_entries_are_refused(value):
+    # NaN or Inf in the real or the imaginary part, of real or complex input
+    for admit, name in ((hermitian_eigen, "matrix"), (matrix_sqrt_psd, "matrix"), (as_density_matrix, "rho")):
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries$"):
+            admit(value)
+    with pytest.raises(ValidationError, match="^state contains non-finite entries$"):
+        as_state_vector(np.ravel(value))
+
+
+class TestAsDensityOperator:
+    def test_passthrough_for_density_operator(self, rng):
+        rho = random_density(rng)
+        assert as_density_operator(rho) is rho
+
+    def test_raw_array_is_the_strict_admission(self, rng):
+        for m in (np.eye(3) / 3, np.array(random_density(rng).matrix), np.diag([0.5, 0.5]).astype(complex)):
+            rho = as_density_operator(m)
+            expected = DensityOperator(m)
+            assert type(rho) is DensityOperator
+            assert rho.matrix.tobytes() == expected.matrix.tobytes()
+            assert rho.spectrum.tobytes() == expected.spectrum.tobytes()
+            for arr in (rho.matrix, rho.spectrum):
+                with pytest.raises(ValueError):
+                    arr[0] = 5
+        with pytest.raises(DataQualityError, match=r"^rho has eigenvalue -3\.8\d+e-03 below the admission window -1e-09$"):
+            as_density_operator(REFERENCE_RECONSTRUCTION)
+        with pytest.raises(ValidationError, match="^state trace deviates"):
+            as_density_operator(np.eye(3), name="state")
 
 
 class TestAsDensityMatrix:

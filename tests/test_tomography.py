@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eurkit.linalg import DataQualityError, DensityOperator, ValidationError
+from eurkit.linalg import ATOL, NOISE_FLOOR, DataQualityError, DensityOperator, ValidationError, as_density_matrix
 from eurkit.sampling import random_density, random_pure_ket
 from eurkit.tomography import (
     REFERENCE_RECONSTRUCTION,
@@ -17,6 +17,48 @@ from eurkit.tomography import (
 )
 
 ROUND_TRIP_TOL = 1e-9
+
+
+def fidelity_oracle(rho, sigma):
+    """``fidelity`` as it was before it took sigma's root through the
+    unchecked kernel: the root re-admits sigma's matrix, clips by np.clip."""
+    r = as_density_matrix(rho, name="rho")
+    s = as_density_matrix(sigma, psd_tol=ATOL, name="sigma")
+    s = 0.5 * (s + s.conj().T)
+    vals, vecs = np.linalg.eigh(s)
+    if vals.min() < -ATOL:
+        raise ValidationError("sigma is not PSD within tolerance")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    inner = root @ r @ root
+    inner = 0.5 * (inner + inner.conj().T)
+    w = np.linalg.eigvalsh(inner)
+    w = np.where(w < NOISE_FLOOR, 0.0, w)
+    return float(np.clip(np.sum(np.sqrt(w)), 0.0, 1.0))
+
+
+def noisy_records(rng, n, shots=1000):
+    """Shot-noise records of random states whose eigenvalues are all at
+    least 0.1, so each stays inside the data window."""
+    for _ in range(n):
+        rho = random_density(rng, pure=bool(rng.integers(2)))
+        rho = DensityOperator(0.7 * rho.matrix + 0.1 * np.eye(3))
+        ideal = simulate_projections(rho)
+        p = np.clip([ideal.set1, ideal.set2, ideal.set3], 0.0, 1.0)
+        counts = rng.binomial(shots, p) / shots
+        yield rho, TomographyRecord(*(tuple(row) for row in counts))
+
+
+def count_eigensolvers(monkeypatch) -> list[str]:
+    """Patch np.linalg's eigh and eigvalsh to record each call by name."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 # Frozen figures for the bundled experimental matrix: entropy of the
 # physicality-projected operator and raw fidelity against the bundled
@@ -133,6 +175,30 @@ class TestReconstruct:
         reconstruct(record)
         assert calls == ["eigh", "eigvalsh"]
 
+    def test_two_diagonalizations_with_target(self, monkeypatch):
+        # the target fidelity reads the hermitized, trace-normalized matrix
+        # whose window project_physical's eigh has just checked, and admits
+        # it no second time
+        record = simulate_projections(REFERENCE_RECONSTRUCTION)
+        calls = count_eigensolvers(monkeypatch)
+        reconstruct(record, target_ket=REFERENCE_TARGET_KET)
+        assert calls == ["eigh", "eigvalsh"]
+
+    def test_target_fidelity_is_fidelity_with_ket_of_the_measured_matrix(self, rng):
+        for _, record in noisy_records(rng, 40):
+            ket = random_pure_ket(rng)
+            result = reconstruct(record, target_ket=ket)
+            raw_h = 0.5 * (result.raw_rho + result.raw_rho.conj().T)
+            assert result.fidelity_vs_target == fidelity_with_ket(raw_h / raw_h.trace().real, ket)
+            assert result.rho.matrix.tobytes() == project_physical(result.raw_rho).matrix.tobytes()
+
+    def test_target_is_checked(self):
+        record = simulate_projections(REFERENCE_RECONSTRUCTION)
+        with pytest.raises(ValidationError, match="^target is not normalized"):
+            reconstruct(record, target_ket=2.0 * REFERENCE_TARGET_KET)
+        with pytest.raises(ValidationError, match="^dimension mismatch: rho dim 3, target dim 2$"):
+            reconstruct(record, target_ket=[1.0, 0.0])
+
 
 class TestProjectPhysical:
     def test_idempotent_and_trace_preserving(self, rng):
@@ -197,6 +263,18 @@ class TestFidelity:
             psi = random_pure_ket(rng)
             sigma = DensityOperator.from_ket(psi)
             assert abs(fidelity(rho, sigma) - fidelity_with_ket(rho, psi)) < 1e-9
+
+    def test_matches_pre_split_oracle(self, rng):
+        # seeded raw shot-noise matrices against strictly physical sigmas,
+        # among them degenerate, pure and maximally mixed ones
+        sigmas = [random_density(rng, pure=bool(i % 2)) for i in range(10)]
+        sigmas += [DensityOperator(np.eye(3) / 3), DensityOperator(np.diag([0.5, 0.25, 0.25])), DensityOperator(np.ones((3, 3)) / 3)]
+        for (rho, record), sigma in zip(noisy_records(rng, 3 * len(sigmas)), sigmas * 3):
+            raw = reconstruct(record).raw_rho
+            raw_h = 0.5 * (raw + raw.conj().T)
+            raw_h = raw_h / raw_h.trace().real
+            for a, b in ((raw_h, sigma), (rho, sigma), (sigma, rho), (sigma, sigma)):
+                assert fidelity(a, b) == fidelity_oracle(a, b)
 
     def test_reference_matrix_against_target(self):
         sigma = DensityOperator.from_ket(REFERENCE_TARGET_KET)
