@@ -19,8 +19,11 @@ kept there; an evaluation then costs one entropy (``_evaluate``).  scb and
 lmf read the set's squared overlaps and enumerate chains and orderings
 exhaustively; each rpz subset is screened on its d x d frame operator,
 and only the near-maximal ones are confirmed on their Gram blocks, for a
-stack of sets at once (``rpz_profiles``).  All three searches are
-capped, never heuristic.
+stack of sets at once (``rpz_profiles``).  Qutrit pools of 12 kets or more
+are screened by a closed form with a proven error bound first, and only
+the frames that can reach a size's maximum go to eigvalsh, so the
+confirmed subsets stay those of the eigvalsh-only screen.  All three
+searches are capped, never heuristic.
 """
 
 from __future__ import annotations
@@ -45,10 +48,13 @@ from .linalg import (
 )
 
 # Pooled-vector limit for the majorization profile: the screen solves
-# 2^(n-1) d x d eigenproblems and keeps 9 * 2^n bytes of screened values.
-# At n = 24 on one core of a 2-vCPU x86 host: 7-22 s and 0.25 GB peak for
-# random bases (d = 2..4), 41 s and 0.28 GB for six copies of one d = 4
-# basis, whose ties make the Gram-block confirmation the heaviest.
+# 2^(n-1) d x d eigenproblems (in closed form for qutrits) and keeps
+# 9 * 2^n bytes of screened values.  At n = 24 on one core of a 2-vCPU x86
+# host: 7-22 s and 0.25 GB peak for random bases of d = 2 and 4, 41 s and
+# 0.28 GB for six copies of one d = 4 basis, whose ties make the Gram-block
+# confirmation the heaviest; for d = 3, 2.0 s and 0.25 GB for random bases
+# (17.1 s with the eigvalsh screen) and 6.1 s and 0.28 GB for eight copies
+# of one basis (18.8 s).
 MAX_POOL_VECTORS = 24
 # The rpz screen diagonalizes 2^SCREEN_BITS d x d frame operators per
 # eigvalsh call, from as many sets of a stack as fit; the confirmation
@@ -56,6 +62,20 @@ MAX_POOL_VECTORS = 24
 # blocks of size 4, across the sets of the stack.
 SCREEN_BITS = 15
 CONFIRM_ENTRIES = 1 << 19
+# Qutrit pools of at least CLOSED_FORM_KETS kets are screened in closed form
+# (``_qutrit_extremes``), at most 2^CLOSED_FORM_BITS frames per chunk, and
+# only the frames that can reach a size's maximum go to eigvalsh; the closed
+# form errs by less than CLOSED_FORM_EPS * N on frames of N bases (README).
+# Median rpz_profiles call, eigvalsh-only screen against closed form, calls
+# interleaved on one core of a busy 2-vCPU x86 host: one 9-ket family set
+# 1.60 / 1.83 ms, a stack of 16 family sets 11.4 / 13.1 ms, 9 random kets
+# 1.75 / 1.69 ms, 12 random kets 6.9 / 3.9 ms, 15 random kets 39 / 8.5 ms.
+# Peak RSS of a process that profiles the 18-ket benchmark pool: 49.8 MB
+# with the eigvalsh screen, 46.0 MB with chunks of 2^12 frames, 54.5 MB
+# with whole 2^15-frame blocks.
+CLOSED_FORM_KETS = 12
+CLOSED_FORM_BITS = 12
+CLOSED_FORM_EPS = 1e-6
 # Best-ordering search is factorial in the number of measurements.
 MAX_ORDERING_SEARCH = 5
 # Cyclic-chain enumeration is factorial in the number of measurements.
@@ -200,30 +220,110 @@ def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return frames, sizes
 
 
-def _screen(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, np.ndarray]:
+def _qutrit_extremes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each Hermitian 3x3 matrix of
+    ``f`` (..., 3, 3), read from its lower triangle as eigvalsh reads it,
+    by the trigonometric solution of the characteristic polynomial.
+
+    With q = tr F / 3, p = ||F - q1||_F / sqrt 6 and r = det(F - q1) / 2p^3,
+    the eigenvalues are q + 2p cos((arccos r + 2 pi k) / 3), k = 0, 1, 2;
+    k = 0 is the largest and k = 1 the smallest.  Near a double eigenvalue
+    r is close to +-1, where arccos loses half the digits: the values err
+    by less than 7e-8 times the norm, within CLOSED_FORM_EPS (README).
+    """
+    a0, a1, a2 = f[..., 0, 0].real, f[..., 1, 1].real, f[..., 2, 2].real
+    br, bi = f[..., 1, 0].real, f[..., 1, 0].imag
+    cr, ci = f[..., 2, 0].real, f[..., 2, 0].imag
+    er, ei = f[..., 2, 1].real, f[..., 2, 1].imag
+    q = (a0 + a1 + a2) / 3.0
+    a0, a1, a2 = a0 - q, a1 - q, a2 - q
+    bb, cc, ee = br * br + bi * bi, cr * cr + ci * ci, er * er + ei * ei
+    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (bb + cc + ee)) / 6.0)
+    # det(F - q1) with Re(F10 conj(F20) F21) for the two off-diagonal cycles
+    det = a0 * a1 * a2 - a0 * ee - a1 * cc - a2 * bb + 2.0 * ((br * er - bi * ei) * cr + (br * ei + bi * er) * ci)
+    p3 = 2.0 * p * p * p
+    # p = 0 is F = q1, whose eigenvalues q come out for any r
+    r = np.divide(det, p3, out=np.zeros_like(p3), where=p3 > 0.0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
+
+
+def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest frame-operator eigenvalue of every subset of each pool,
     indexed (set, bitmask), and the size of each bitmask.
 
     Only the subsets without the last ket are diagonalized, one eigvalsh
     call per value of the high bits; complete bases sum to N * 1, so the
     complement of S gets lambda_max = N - lambda_min(F_S).
+
+    Qutrit pools of at least CLOSED_FORM_KETS kets take both extremes of
+    every frame from ``_qutrit_extremes`` instead, in chunks of at most
+    2^CLOSED_FORM_BITS frames, and then make one eigvalsh call on the
+    frames whose subset or complement lies within ``margin`` + 2 eps of
+    its size's closed-form maximum, eps = CLOSED_FORM_EPS * N.  The closed
+    form errs by at most eps, so every subset that the confirmation of
+    ``_stack_profiles`` would pick, the size's maximum among them, gets
+    its eigvalsh value, and every other subset keeps a closed-form value
+    below the confirmation threshold: the confirmed subsets are those of
+    the eigvalsh-only screen.
     """
-    n_sets, n, _ = pools.shape
+    n_sets, n, d = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
     low_frames, low_sizes = _subset_frames(pools[:, :low])
     high_frames, high_sizes = _subset_frames(pools[:, low:half])
     full = (1 << n) - 1
     lam = np.empty((n_sets, full + 1))
-    for h in range(high_frames.shape[1]):
-        # h = 0 is the empty high subset, whose zero frame would add nothing:
-        # the sums start from +0.0, so no entry is -0.0.
-        w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
-        start, stop = h << low, (h + 1) << low
-        lam[:, start:stop] = w[..., -1]
-        lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
     sizes = (high_sizes[:, None] + low_sizes[None, :]).ravel()
-    return lam, np.concatenate([sizes, n - sizes[::-1]])
+    sizes = np.concatenate([sizes, n - sizes[::-1]])
+
+    def keep(rows, start, lo, hi):
+        stop = start + hi.shape[1]
+        lam[rows, start:stop] = hi
+        lam[rows, full - stop + 1 : full - start + 1] = n_bases - lo[:, ::-1]
+
+    if d != 3 or n < CLOSED_FORM_KETS:
+        for h in range(high_frames.shape[1]):
+            # h = 0 is the empty high subset, whose zero frame would add nothing:
+            # the sums start from +0.0, so no entry is -0.0.
+            w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
+            keep(slice(None), h << low, w[..., 0], w[..., -1])
+        return lam, sizes
+
+    cols = min(low_frames.shape[1], 1 << CLOSED_FORM_BITS)
+    rows = (1 << CLOSED_FORM_BITS) // cols
+    chunks = list(
+        itertools.product(range(high_frames.shape[1]), range(0, n_sets, rows), range(0, low_frames.shape[1], cols))
+    )
+    # Within a chunk the sizes are a base plus the popcount of the column;
+    # ordered by popcount, each size is one run for reduceat.
+    order = np.argsort(low_sizes[:cols], kind="stable")
+    runs = np.searchsorted(low_sizes[:cols][order], np.arange(low_sizes[cols - 1] + 1))
+    top = np.full((n_sets, n + 1), -np.inf)
+    for h, s, c in chunks:
+        at = slice(s, s + rows)
+        lo, hi = _qutrit_extremes(low_frames[at, c : c + cols] + high_frames[at, h, None])
+        keep(at, (h << low) + c, lo, hi)
+        k = high_sizes[h] + low_sizes[c] + np.arange(runs.size)
+        top[at, k] = np.maximum(top[at, k], np.maximum.reduceat(hi[:, order], runs, axis=1))
+        top[at, n - k] = np.maximum(top[at, n - k], n_bases - np.minimum.reduceat(lo[:, order], runs, axis=1))
+    near = top - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
+    # Chunk by chunk again, so no (set, bitmask) array of thresholds is held:
+    # a frame goes to eigvalsh when its subset or its complement is near.
+    picked = []
+    for h, s, c in chunks:
+        at, start = slice(s, s + rows), (h << low) + c
+        own, comp = slice(start, start + cols), slice(full - start - cols + 1, full - start + 1)
+        sent = (lam[at, own] >= near[at, sizes[own]]) | (lam[at, comp] >= near[at, sizes[comp]])[:, ::-1]
+        i, j = np.nonzero(sent)
+        picked.append((s + i, start + j))
+    owners, frame = (np.concatenate(part) for part in zip(*picked))
+    # the zero frame of an empty high subset adds nothing, as above, so each
+    # gathered frame has the bits that the eigvalsh screen diagonalizes
+    w = np.linalg.eigvalsh(low_frames[owners, frame & ((1 << low) - 1)] + high_frames[owners, frame >> low])
+    lam[owners, frame] = w[:, -1]
+    lam[owners, full - frame] = n_bases - w[:, 0]
+    return lam, sizes
 
 
 def _stack_profiles(pools: np.ndarray, n_bases: int) -> list[MajorizationProfile]:
@@ -235,7 +335,7 @@ def _stack_profiles(pools: np.ndarray, n_bases: int) -> list[MajorizationProfile
     frames = pools.transpose(0, 2, 1) @ pools.conj()
     frame_dev = np.max(np.abs(np.linalg.eigvalsh(frames) - n_bases), axis=1)
     margin = ATOL + 2.0 * frame_dev
-    lam, sizes = _screen(pools, n_bases)
+    lam, sizes = _screen(pools, n_bases, margin)
     s = np.empty((n_sets, n))
     for size in range(1, n + 1):
         masks = np.flatnonzero(sizes == size)
@@ -266,14 +366,17 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
     d x d frame operator F_S = sum_{i in S} |v_i><v_i|, so the work runs in
     two stages:
 
-    1. Screen: lambda_max(F_S) for every subset (``_screen``).
+    1. Screen: lambda_max(F_S) for every subset (``_screen``).  For
+       qutrit pools of CLOSED_FORM_KETS kets or more, a closed form first
+       decides which frames eigvalsh must see.
     2. Confirm: per size k, only the subsets screened within ``margin`` of
        the size's screened maximum get their Gram blocks gathered and
        diagonalized as an exhaustive search does (symmetrized Gram
        matrix, ascending indices); S_{k-1} is the largest of those.
 
-    The screen errs by about 1e-14, plus the frame deviation of bases that
-    are orthonormal only within ATOL, which widens the margin.  So the
+    The eigvalsh screen errs by about 1e-14, plus the frame deviation of
+    bases that are orthonormal only within ATOL, which widens the margin;
+    the closed form only changes values that no confirmation picks.  So the
     confirmed subsets always include the one attaining the exhaustive
     maximum, and the profile is bit-identical to the exhaustive Gram-block
     search.  The frame operators alone would not be: in the flat tail they

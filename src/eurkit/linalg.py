@@ -14,7 +14,9 @@ as "data-quality") rather than silently repaired.
 Each kind of input is checked once: outside values become arrays only in
 ``as_complex_array``, density matrices pass one admission (behind
 ``as_density_matrix``, ``DensityOperator`` and ``as_density_operator``; the
-last two keep the admitted spectrum) and measurement lists become a
+last two keep the admitted spectrum; a state eurkit has just built, such
+as tomography's repair, skips the checks in ``_built_density`` with the
+same bits) and measurement lists become a
 ``MeasurementSet``, which ``as_measurements`` passes through and which
 computes its overlaps once.  ``hermitian_eigen``, ``matrix_sqrt_psd`` and
 ``ray_fidelity`` check their input and call a kernel (``_gauged_eigh``,
@@ -164,9 +166,25 @@ def as_density_operator(value, *, name: str = "rho") -> DensityOperator:
     """
     if isinstance(value, DensityOperator):
         return value
+    return _kept_density(*_admit_density(value, psd_tol=ATOL, name=name))
+
+
+def _kept_density(m: np.ndarray, spectrum: np.ndarray) -> DensityOperator:
+    """A DensityOperator of an exactly Hermitian matrix and its eigvalsh
+    spectrum, kept as they are: no admission runs."""
     rho = object.__new__(DensityOperator)
-    rho._keep(*_admit_density(value, psd_tol=ATOL, name=name))
+    rho._keep(m, spectrum)
     return rho
+
+
+def _built_density(matrix: np.ndarray) -> DensityOperator:
+    """``DensityOperator(matrix)`` of a complex matrix eurkit has just built
+    as a state (finite, unit trace, spectrum >= 0 up to rounding):
+    symmetrized and diagonalized exactly as admission does, so the bits are
+    the same, without admission's finiteness, trace and window checks,
+    which cannot fail on it."""
+    m = 0.5 * (matrix + matrix.conj().T)
+    return _kept_density(m, np.linalg.eigvalsh(m))
 
 
 @dataclass(frozen=True, eq=False)

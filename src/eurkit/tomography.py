@@ -33,6 +33,7 @@ from .linalg import (
     DataQualityError,
     DensityOperator,
     ValidationError,
+    _built_density,
     _gauged_eigh,
     _sqrt_psd,
     as_complex_array,
@@ -200,15 +201,16 @@ def _unit_trace(m: np.ndarray) -> np.ndarray:
 
 def _clamped(m: np.ndarray) -> DensityOperator:
     """``project_physical``'s clamp of a ``_unit_trace`` matrix, which is
-    exactly Hermitian and so goes to the eigensolver unchecked."""
+    exactly Hermitian and so goes to the eigensolver unchecked.  The
+    repaired matrix is built from a clamped, normalized spectrum, so it
+    becomes a DensityOperator without admission (``_built_density``)."""
     vals, vecs = _gauged_eigh(m)
     lo = float(vals[-1])  # descending
     if lo < -DATA_PSD_TOL:
         raise DataQualityError(f"eigenvalue {lo:.4e} below the admission window -{DATA_PSD_TOL:g}")
     vals = np.maximum(vals, 0.0)  # the ufunc np.clip(vals, 0.0, None) calls
     vals = vals / vals.sum()
-    repaired = (vecs * vals) @ vecs.conj().T
-    return DensityOperator(repaired)
+    return _built_density((vecs * vals) @ vecs.conj().T)
 
 
 @dataclass(frozen=True)

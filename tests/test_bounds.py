@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from numpy.testing import assert_allclose
 
 import eurkit.bounds
 from eurkit.bounds import (
+    CLOSED_FORM_BITS,
+    CLOSED_FORM_EPS,
+    CLOSED_FORM_KETS,
     MAX_ORDERING_SEARCH,
     MAX_POOL_VECTORS,
     MAX_SCB_MEASUREMENTS,
@@ -24,6 +29,7 @@ from eurkit.bounds import (
 from eurkit.entropy import entropy_sum, von_neumann_entropy
 from eurkit.family import build_family
 from eurkit.linalg import (
+    ATOL,
     CapacityError,
     DataQualityError,
     DensityOperator,
@@ -125,6 +131,74 @@ def near_orthonormal_set(rng, d):
     # check, but the frame sum of N bases is off N * 1 by about N * 1e-9
     stretched = random_basis(rng, dim=d).basis * math.sqrt(1.0 + 0.99e-9)
     return ([ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, 12 // d - 2))[::-1]
+
+
+def screen_oracle(pools, n_bases):
+    """``bounds._screen`` before the qutrit prefilter: eigvalsh of every
+    frame operator, one call per value of the high bits."""
+    n_sets, n, _ = pools.shape
+    half = n - 1
+    low = min(half, eurkit.bounds.SCREEN_BITS)
+    low_frames, low_sizes = eurkit.bounds._subset_frames(pools[:, :low])
+    high_frames, high_sizes = eurkit.bounds._subset_frames(pools[:, low:half])
+    full = (1 << n) - 1
+    lam = np.empty((n_sets, full + 1))
+    for h in range(high_frames.shape[1]):
+        w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
+        start, stop = h << low, (h + 1) << low
+        lam[:, start:stop] = w[..., -1]
+        lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
+    sizes = (high_sizes[:, None] + low_sizes[None, :]).ravel()
+    return lam, np.concatenate([sizes, n - sizes[::-1]])
+
+
+def pools_of(sets):
+    return np.array([np.concatenate([m.basis for m in ms]) for ms in sets])
+
+
+def screen_margins(pools, n_bases):
+    """Each pool's confirmation margin, as ``_stack_profiles`` takes it."""
+    frames = pools.transpose(0, 2, 1) @ pools.conj()
+    return ATOL + 2.0 * np.max(np.abs(np.linalg.eigvalsh(frames) - n_bases), axis=1)
+
+
+def confirmed(lam, sizes, margin):
+    """Per size, the (set, mask) pairs the confirmation stage picks from a
+    screen, with their screened values."""
+    picked = []
+    for size in range(1, int(sizes.max()) + 1):
+        masks = np.flatnonzero(sizes == size)
+        screened = lam[:, masks]
+        owners, picks = np.nonzero(screened >= (screened.max(axis=1) - margin)[:, None])
+        values = screened[owners, picks]
+        picked.append(list(zip(owners.tolist(), masks[picks].tolist(), values.tolist())))
+    return picked
+
+
+def assert_screen_confirms_as_oracle(sets):
+    pools = pools_of(sets)
+    n_bases = len(sets[0])
+    margin = screen_margins(pools, n_bases)
+    lam, sizes = eurkit.bounds._screen(pools, n_bases, margin)
+    oracle_lam, oracle_sizes = screen_oracle(pools, n_bases)
+    assert np.array_equal(sizes, oracle_sizes)
+    assert confirmed(lam, sizes, margin) == confirmed(oracle_lam, oracle_sizes, margin)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+
+
+def reference_pool(n):
+    """The bases of the benchmark's recorded rpz pool of n kets, and its recorded profile."""
+    case = json.loads(REFERENCE.read_text(encoding="utf-8"))["pool"][f"bounds.rpz_profile.n{n}"]
+    bases = [ProjectiveMeasurement([[complex(*z) for z in ket] for ket in b]) for b in case["bases"]]
+    return bases, tuple(case["value"])
+
+
+def every_frame(ms):
+    """The frame operator of every subset of the pooled kets without the last."""
+    pool = pools_of([ms])[0]
+    return eurkit.bounds._subset_frames(pool[None, :-1])[0][0]
 
 
 FOURIER_QUTRIT = np.array(
@@ -451,6 +525,107 @@ class TestRpzProfiles:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
         with pytest.raises(CapacityError):
             rpz_profiles(sets)
+
+
+class TestQutritPrefilter:
+    def test_closed_form_error_bound(self, rng):
+        # spectra (c, c, c), (c, c + t, c + t) and (c, c, c + t) with spreads
+        # t from 1e-16 to 1e-1 and scales c up to 8, in random eigenbases
+        count = 100_000
+        c = rng.uniform(0.0, 8.0, count)
+        t = np.logspace(-16.0, -1.0, 61)[rng.integers(0, 61, count)] * np.maximum(c, 1e-3)
+        kind = np.arange(count) % 3
+        spectra = np.stack([c, c + t * (kind == 1), c + t * (kind > 0)], axis=1)
+        u = np.array([random_basis(rng, dim=3).basis for _ in range(500)])[rng.integers(0, 500, count)]
+        frames = (u.conj().transpose(0, 2, 1) * spectra[:, None, :]) @ u
+        frames = [0.5 * (frames + frames.conj().transpose(0, 2, 1))]
+        # exact degeneracies: c 1 (p = 0) and two orthogonal kets, whose
+        # spectrum (1, 1, 0) gives r = -1 exactly
+        frames.append(np.array([x * np.eye(3, dtype=complex) for x in (0.0, 0.1, 1.0, 1.0 / 3.0, 2.0, 8.0)]))
+        pair = np.zeros((1, 3, 3), dtype=complex)
+        pair[0, 0, 0] = pair[0, 1, 1] = 1.0
+        kets = random_basis(rng, dim=3).basis[:2]
+        frames += [pair, (kets[:, :, None] * kets.conj()[:, None, :]).sum(axis=0)[None]]
+        for n in (12, 15, 18):
+            frames.append(every_frame(reference_pool(n)[0]))
+        frames = np.concatenate(frames)
+        w = np.linalg.eigvalsh(frames)
+        lo, hi = eurkit.bounds._qutrit_extremes(frames)
+        # relative to the norm, which is at most N for a frame of N bases
+        bound = CLOSED_FORM_EPS * np.abs(w).max(axis=1)
+        assert np.all(np.abs(hi - w[:, -1]) <= bound)
+        assert np.all(np.abs(lo - w[:, 0]) <= bound)
+
+    def test_confirms_the_subsets_of_the_eigvalsh_screen(self, rng):
+        for n_bases in (4, 4, 5, 5):
+            assert_screen_confirms_as_oracle([random_set(rng, 3, n_bases)])
+        assert_screen_confirms_as_oracle([random_set(rng, 3, 6)])
+
+    def test_tie_heavy_pools(self, rng):
+        # a repeated basis, and copies of one basis, tie many subsets at a maximum
+        for n_bases in (4, 5):
+            ms = random_set(rng, 3, n_bases)
+            ms[-1] = ms[0]
+            assert_screen_confirms_as_oracle([ms])
+            assert_screen_confirms_as_oracle([[ms[1]] * n_bases])
+
+    def test_near_orthonormal_pools_and_stacks(self, rng):
+        exact = random_set(rng, 3, 4)
+        repeated = random_set(rng, 3, 4)
+        repeated[2] = repeated[1]
+        assert_screen_confirms_as_oracle([near_orthonormal_set(rng, 3)])
+        assert_screen_confirms_as_oracle([exact, near_orthonormal_set(rng, 3), repeated, exact])
+        assert_screen_confirms_as_oracle([random_set(rng, 3, 4) for _ in range(16)])
+        assert_screen_confirms_as_oracle([random_set(rng, 3, 5) for _ in range(3)])
+
+    def test_twelve_ket_profiles_match_gram_block_oracle(self, rng):
+        sets = [random_set(rng, 3, 4) for _ in range(4)] + [near_orthonormal_set(rng, 3)]
+        sets[1][3] = sets[1][0]
+        for ms in sets:
+            assert_profile_matches_oracle(ms)
+        assert_stack_matches_oracle(sets)
+
+    def test_reference_pool_profiles_are_recorded(self):
+        for n in (12, 15, 16, 18):
+            bases, recorded = reference_pool(n)
+            assert rpz_profile(bases).s_coeffs == recorded
+
+    def test_eighteen_ket_pool_sends_few_frames_to_eigvalsh(self, monkeypatch):
+        bases, _ = reference_pool(18)
+        calls, chunks = [], []
+        eigvalsh, extremes = np.linalg.eigvalsh, eurkit.bounds._qutrit_extremes
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        def chunked(f):
+            chunks.append(f.shape)
+            return extremes(f)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(eurkit.bounds, "_qutrit_extremes", chunked)
+        rpz_profile(bases)
+        # the frame deviation, the one screen call, then the Gram blocks by size
+        assert calls[0] == (1, 3, 3)
+        assert len(calls[1]) == 3 and calls[1][1:] == (3, 3) and calls[1][0] <= 300
+        assert [shape[-1] for shape in calls[2:]] == sorted(shape[-1] for shape in calls[2:])
+        assert calls[2][-1] == 1
+        assert all(math.prod(shape[:-2]) <= 1 << CLOSED_FORM_BITS for shape in chunks)
+        assert sum(math.prod(shape[:-2]) for shape in chunks) == 1 << 17
+
+    def test_other_pools_keep_the_eigvalsh_screen(self, rng, monkeypatch):
+        def no_closed_form(f):
+            raise AssertionError("closed form used below the crossover or off d = 3")
+
+        monkeypatch.setattr(eurkit.bounds, "_qutrit_extremes", no_closed_form)
+        cases = [[build_family(0.3)], [random_set(rng, 3, 3)] * 2, [random_set(rng, 2, 6)], [random_set(rng, 4, 3)]]
+        assert CLOSED_FORM_KETS > 9
+        for sets in cases:
+            pools = pools_of(sets)
+            lam, sizes = eurkit.bounds._screen(pools, len(sets[0]), screen_margins(pools, len(sets[0])))
+            oracle_lam, oracle_sizes = screen_oracle(pools, len(sets[0]))
+            assert np.array_equal(lam, oracle_lam) and np.array_equal(sizes, oracle_sizes)
 
 
 class TestRpzBound:

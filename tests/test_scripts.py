@@ -1,5 +1,6 @@
 """Each script under scripts/ runs to completion and prints its summary."""
 
+import math
 import os
 import subprocess
 import sys
@@ -42,3 +43,31 @@ def test_dominance_scan_refuses_bad_arguments():
         proc = run_script("dominance_scan.py", *args)
         assert proc.returncode == 2, args
         assert proc.stdout == "" and "error: --" in proc.stderr and "Traceback" not in proc.stderr, args
+
+
+def report_rows(proc):
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["size", "subsets", "eigvalsh", "confirmed"]
+    assert lines[-1].startswith("total: ") and lines[-1].endswith(" s")
+    return [[int(x) for x in line.split()] for line in lines[1:-2]], lines[-2]
+
+
+def test_rpz_screen_report():
+    # 12 qutrit kets: the closed-form screen sends few frames to eigvalsh
+    rows, frames = report_rows(run_script("rpz_screen_report.py", "--d", "3", "--n-bases", "4", "--seed", "0"))
+    assert [row[:2] for row in rows] == [[k, math.comb(12, k)] for k in range(1, 13)]
+    assert all(1 <= confirmed <= screened <= subsets for _, subsets, screened, confirmed in rows)
+    sent = int(frames.removeprefix("frames sent to eigvalsh: ").removesuffix(" of 2048"))
+    assert sent < 2048 // 4
+    # 6 qubit kets: every frame goes to eigvalsh
+    rows, frames = report_rows(run_script("rpz_screen_report.py", "--d", "2", "--n-bases", "3", "--seed", "0"))
+    assert [row[1] for row in rows] == [row[2] for row in rows] == [math.comb(6, k) for k in range(1, 7)]
+    assert frames == "frames sent to eigvalsh: 32 of 32"
+
+
+def test_rpz_screen_report_refuses_bad_arguments():
+    for args in (("--d", "1", "--n-bases", "3"), ("--d", "3", "--n-bases", "0"), ("--d", "3", "--n-bases", "9")):
+        proc = run_script("rpz_screen_report.py", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and "error: " in proc.stderr and "Traceback" not in proc.stderr, args

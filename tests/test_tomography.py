@@ -1,8 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eurkit.linalg import ATOL, NOISE_FLOOR, DataQualityError, DensityOperator, ValidationError, as_density_matrix
+from eurkit.linalg import (
+    ATOL,
+    NOISE_FLOOR,
+    DataQualityError,
+    DensityOperator,
+    ValidationError,
+    _gauged_eigh,
+    as_density_matrix,
+)
 from eurkit.sampling import random_density, random_pure_ket
 from eurkit.tomography import (
     REFERENCE_RECONSTRUCTION,
@@ -17,6 +27,7 @@ from eurkit.tomography import (
 )
 
 ROUND_TRIP_TOL = 1e-9
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def fidelity_oracle(rho, sigma):
@@ -191,6 +202,23 @@ class TestReconstruct:
             raw_h = 0.5 * (result.raw_rho + result.raw_rho.conj().T)
             assert result.fidelity_vs_target == fidelity_with_ket(raw_h / raw_h.trace().real, ket)
             assert result.rho.matrix.tobytes() == project_physical(result.raw_rho).matrix.tobytes()
+
+    def test_repaired_operator_is_admitted_operator_of_lab_records(self, monkeypatch):
+        # the repaired matrix skips admission, with the bits admission gives
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        from workloads import LabRecords
+
+        _, records = LabRecords().generate(7)
+        assert len(records) == 1000
+        for r in records:
+            result = reconstruct(TomographyRecord(*r.sets))
+            h = 0.5 * (result.raw_rho + result.raw_rho.conj().T)
+            vals, vecs = _gauged_eigh(h / h.trace().real)
+            vals = np.maximum(vals, 0.0)
+            admitted = DensityOperator((vecs * (vals / vals.sum())) @ vecs.conj().T)
+            assert np.array_equal(result.rho.matrix, admitted.matrix)
+            assert np.array_equal(result.rho.spectrum, admitted.spectrum)
+            assert not (result.rho.matrix.flags.writeable or result.rho.spectrum.flags.writeable)
 
     def test_target_is_checked(self):
         record = simulate_projections(REFERENCE_RECONSTRUCTION)
