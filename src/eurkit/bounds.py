@@ -19,11 +19,13 @@ kept there; an evaluation then costs one entropy (``_evaluate``).  scb and
 lmf read the set's squared overlaps and enumerate chains and orderings
 exhaustively; each rpz subset is screened on its d x d frame operator,
 and only the near-maximal ones are confirmed on their Gram blocks, for a
-stack of sets at once (``rpz_profiles``).  Qutrit pools of 12 kets or more
-are screened by a closed form with a proven error bound first, and only
-the frames that can reach a size's maximum go to eigvalsh, so the
-confirmed subsets stay those of the eigvalsh-only screen.  All three
-searches are capped, never heuristic.
+stack of sets at once (``rpz_profiles``).  Larger pools first clear the
+frames that provably lie below their sizes' maxima, and only the others go
+to eigvalsh: qutrit pools of 12 kets or more by a closed form with a proven
+error bound, other pools of three or more bases and 13 kets or more by a
+Cholesky certificate (Rump, BIT 46, 433 (2006)).  The confirmed subsets
+stay those of the eigvalsh-only screen.  All three searches are capped,
+never heuristic.
 """
 
 from __future__ import annotations
@@ -47,14 +49,15 @@ from .linalg import (
     overlap_c,
 )
 
-# Pooled-vector limit for the majorization profile: the screen solves
-# 2^(n-1) d x d eigenproblems (in closed form for qutrits) and keeps
-# 9 * 2^n bytes of screened values.  At n = 24 on one core of a 2-vCPU x86
-# host: 7-22 s and 0.25 GB peak for random bases of d = 2 and 4, 41 s and
-# 0.28 GB for six copies of one d = 4 basis, whose ties make the Gram-block
-# confirmation the heaviest; for d = 3, 2.0 s and 0.25 GB for random bases
-# (17.1 s with the eigvalsh screen) and 6.1 s and 0.28 GB for eight copies
-# of one basis (18.8 s).
+# Pooled-vector limit for the majorization profile: the screen covers
+# 2^(n-1) d x d frame operators (in closed form for qutrits, by a Cholesky
+# certificate for d != 3) and keeps 9 * 2^n bytes of screened values.  At
+# n = 24 on one core of a 2-vCPU x86 host: 1.6 s and 0.19 GB for random
+# bases of d = 2 (6.9 s and 0.25 GB with the eigvalsh screen), 3.5 s and
+# 0.20 GB for d = 4 (30.3 s and 0.25 GB), 22 s and 0.26 GB for six copies
+# of one d = 4 basis (37.5 s and 0.28 GB), whose ties make the Gram-block
+# confirmation the heaviest; for d = 3, 1.7 s and 0.19 GB for random bases
+# and 7.0 s and 0.22 GB for eight copies of one basis.
 MAX_POOL_VECTORS = 24
 # The rpz screen diagonalizes 2^SCREEN_BITS d x d frame operators per
 # eigvalsh call, from as many sets of a stack as fit; the confirmation
@@ -76,6 +79,21 @@ CONFIRM_ENTRIES = 1 << 19
 CLOSED_FORM_KETS = 12
 CLOSED_FORM_BITS = 12
 CLOSED_FORM_EPS = 1e-6
+# Pools of d != 3 with at least CERTIFIED_KETS kets, at least three bases
+# and d >= 2 clear their frames by a Cholesky certificate, in the chunks of
+# the closed form, with thresholds moved CERTIFIED_DELTA * N past the
+# confirmation's (README).  With one or two bases, or d = 1, nearly every
+# frame ties at its size's maximum on one side and would reach eigvalsh all
+# the same: 6497 of 8192 frames at d = 7, N = 2, and the certified screen
+# took 151 / 192 ms where eigvalsh took 136 / 134 ms (d = 7, N = 2 and
+# d = 13, N = 1).  Median rpz_profile calls, eigvalsh screen against
+# certificate, interleaved, process time on one core of a 2-vCPU x86 host:
+# d = 2 at n = 14 10.3 / 4.3 ms, d = 5 at n = 15 111 / 55 ms, d = 4 at
+# n = 16 132 / 36 ms, d = 2 at n = 18 136 / 32 ms.  12-ket pools would
+# gain too (d = 2 3.8 / 2.8 ms, d = 4 11.3 / 7.1 ms), but keep the eigvalsh
+# screen call for call, which the tests pin.
+CERTIFIED_KETS = 13
+CERTIFIED_DELTA = 1e-12
 # Best-ordering search is factorial in the number of measurements.
 MAX_ORDERING_SEARCH = 5
 # Cyclic-chain enumeration is factorial in the number of measurements.
@@ -206,18 +224,29 @@ class MajorizationProfile:
         return max(0.0, _entropy_of_clamped(np.asarray(self.majorizing_vector())))
 
 
+def _popcounts(k: int) -> np.ndarray:
+    """The popcount of each bitmask of k bits, by the subset doubling."""
+    sizes = np.zeros(1 << k, dtype=np.uint8)
+    for i in range(k):
+        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+    return sizes
+
+
+def _ket_frames(v: np.ndarray) -> np.ndarray:
+    """|v><v| of the ket v[s] of each set s, shaped (set, 1, d, d) as
+    ``_subset_frames`` adds it."""
+    return v[:, None, :, None] * v.conj()[:, None, None, :]
+
+
 def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame operator sum_{i in S} |v_i><v_i| of every subset S of the kets
     ``kets[s]`` of each set s, indexed by (s, bitmask) with bit i set when
     ket i is in S, and the size |S| of each bitmask."""
     n_sets, k, d = kets.shape
     frames = np.zeros((n_sets, 1 << k, d, d), dtype=complex)
-    sizes = np.zeros(1 << k, dtype=np.uint8)
     for i in range(k):
-        v, m = kets[:, i], 1 << i
-        np.add(frames[:, :m], v[:, None, :, None] * v.conj()[:, None, None, :], out=frames[:, m : 2 * m])
-        np.add(sizes[:m], 1, out=sizes[m : 2 * m])
-    return frames, sizes
+        np.add(frames[:, : 1 << i], _ket_frames(kets[:, i]), out=frames[:, 1 << i : 2 << i])
+    return frames, _popcounts(k)
 
 
 def _qutrit_extremes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,81 +277,260 @@ def _qutrit_extremes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
 
 
+def _cholesky_completes(a: np.ndarray) -> np.ndarray:
+    """Whether the floating-point Cholesky factorization of each Hermitian
+    matrix a[0] + i a[1] runs to completion, every pivot positive, for real
+    and imaginary parts ``a`` of shape (2, d, d, ...) read from their lower
+    triangle, which the factor overwrites.
+
+    Every entry of the factor is a real sum of at most 2d + 1 rounded
+    terms, so by Rump's argument (BIT 46, 433 (2006)) a matrix A that
+    completes has lambda_min(A) > -sqrt2 g / (1 - g) tr A, with
+    g = (2d + 2) u / (1 - (2d + 2) u) and u = 2^-53 (README).  An overflow
+    leaves an inf or nan that fails a later pivot.
+    """
+    d = a.shape[1]
+    ok = np.ones(a.shape[3:], dtype=bool)
+    conj = np.array([1.0, -1.0]).reshape(2, *[1] * (a.ndim - 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            row = a[:, j, :j]
+            pivot = a[0, j, j] - np.einsum("ck...,ck...->...", row, row) if j else a[0, j, j]
+            ok &= pivot > 0.0
+            if j + 1 == d:
+                break
+            # L_ij = (A_ij - sum_k L_ik conj(L_jk)) / L_jj for the rows i below j:
+            # the real part sums below[c] row[c], the imaginary below[1 - c] conj(row)[c]
+            col = a[:, j + 1 :, j]
+            if j:
+                below = a[:, j + 1 :, :j]
+                real = np.einsum("cik...,ck...->i...", below, row)
+                imag = np.einsum("cik...,ck...->i...", below[::-1], row * conj)
+                col = col - np.stack([real, imag])
+            np.divide(col, np.sqrt(np.where(pivot > 0.0, pivot, 1.0)), out=a[:, j + 1 :, j])
+    return ok
+
+
+def _popcount_runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts ``sizes``, the popcounts of the bitmasks
+    0, 1, 2, ..., and where each popcount's run starts in that order."""
+    order = np.argsort(sizes, kind="stable")
+    return order, np.searchsorted(sizes[order], np.arange(int(sizes[-1]) + 1))
+
+
+def _rayleigh_candidates(pools: np.ndarray, n_bases: int, chunks, order, runs) -> tuple[np.ndarray, np.ndarray]:
+    """Per set and subset size, the frame (a bitmask without the last ket)
+    whose subset or complement of that size has the largest lower bound on
+    its screened value, as (set, bitmask) arrays, each frame once.
+
+    The bounds are Rayleigh quotients in the pool's own kets,
+    <v_i|F_S|v_i> = sum over j in S of |<v_i|v_j>|^2: their max over i
+    bounds lambda_max(F_S), and N minus their min the complement's value.
+    They are built by subset doubling over the chunk's columns, plus the
+    quotients of the chunk's higher bits.
+    """
+    n_sets, n, _ = pools.shape
+    cols = order.size
+    g = np.abs(pools.conj() @ pools.transpose(0, 2, 1)) ** 2
+    quotients = np.zeros((n_sets, n, cols))
+    for j in range(cols.bit_length() - 1):
+        np.add(quotients[..., : 1 << j], g[..., j, None], out=quotients[..., 1 << j : 2 << j])
+    counts = np.diff(runs, append=cols)
+    best = np.full((n_sets, n + 1), -np.inf)
+    pick = np.zeros((n_sets, n + 1), dtype=np.int64)
+    q = np.empty_like(quotients[chunks[0][0]])
+    for at, start, base, _, _ in chunks:
+        np.add(quotients[at], (g[at, :, : n - 1] @ ((start >> np.arange(n - 1)) & 1))[..., None], out=q)
+        k = base + np.arange(runs.size)
+        for bound, size in ((q.max(axis=1), k), (n_bases - q.min(axis=1), n - k)):
+            ordered = bound[:, order]
+            top = np.maximum.reduceat(ordered, runs, axis=1)
+            first = np.minimum.reduceat(np.where(ordered == np.repeat(top, counts, axis=1), order, cols), runs, axis=1)
+            better = top > best[at, size]
+            best[at, size] = np.where(better, top, best[at, size])
+            pick[at, size] = np.where(better, start + first, pick[at, size])
+    keys = np.unique(np.arange(n_sets)[:, None] * (1 << (n - 1)) + pick)
+    return keys >> (n - 1), keys & ((1 << (n - 1)) - 1)
+
+
 def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest frame-operator eigenvalue of every subset of each pool,
-    indexed (set, bitmask), and the size of each bitmask.
+    indexed (set, bitmask), and the size (popcount) of each bitmask.
 
     Only the subsets without the last ket are diagonalized, one eigvalsh
     call per value of the high bits; complete bases sum to N * 1, so the
     complement of S gets lambda_max = N - lambda_min(F_S).
 
-    Qutrit pools of at least CLOSED_FORM_KETS kets take both extremes of
-    every frame from ``_qutrit_extremes`` instead, in chunks of at most
-    2^CLOSED_FORM_BITS frames, and then make one eigvalsh call on the
-    frames whose subset or complement lies within ``margin`` + 2 eps of
-    its size's closed-form maximum, eps = CLOSED_FORM_EPS * N.  The closed
-    form errs by at most eps, so every subset that the confirmation of
-    ``_stack_profiles`` would pick, the size's maximum among them, gets
-    its eigvalsh value, and every other subset keeps a closed-form value
-    below the confirmation threshold: the confirmed subsets are those of
-    the eigvalsh-only screen.
+    Larger pools are prefiltered in chunks of at most 2^CLOSED_FORM_BITS
+    frames, each built from one table of frames as the eigvalsh screen
+    builds it, to the bit: a frame is cleared when its subset and its
+    complement both lie provably more than ``margin`` below their sizes'
+    eigvalsh maxima, and only the other frames go to eigvalsh, gathered
+    into calls of at most 2^SCREEN_BITS.  So every subset that the
+    confirmation of ``_stack_profiles`` would pick, the size's maximum
+    among them, gets its eigvalsh value, every other subset a value below
+    the confirmation threshold, and the confirmed subsets are those of the
+    eigvalsh-only screen.  The two prefilters differ only in how they
+    clear a frame:
+
+    - Qutrit pools of at least CLOSED_FORM_KETS kets take both extremes of
+      every frame from ``_qutrit_extremes``, which errs by at most
+      eps = CLOSED_FORM_EPS * N, and clear the frames whose subset and
+      complement lie more than ``margin`` + 2 eps below their sizes'
+      closed-form maxima; those keep their closed-form values.
+    - Other pools of at least CERTIFIED_KETS kets first diagonalize the
+      frames of ``_rayleigh_candidates``; per set and size k, the largest
+      of their eigvalsh values is T'_k, at most the size's maximum.  A
+      frame is cleared, and its two values set to -inf, when the Cholesky
+      factorizations of (T'_|S| - margin - delta) 1 - F_S and
+      F_S - (N - T'_(n-|S|) + margin + delta) 1 both complete
+      (``_cholesky_completes``); delta = CERTIFIED_DELTA * N covers the
+      factorization's rounding and eigvalsh's.
     """
     n_sets, n, d = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
-    low_frames, low_sizes = _subset_frames(pools[:, :low])
     high_frames, high_sizes = _subset_frames(pools[:, low:half])
+    low_sizes = _popcounts(low)
     full = (1 << n) - 1
     lam = np.empty((n_sets, full + 1))
     sizes = (high_sizes[:, None] + low_sizes[None, :]).ravel()
     sizes = np.concatenate([sizes, n - sizes[::-1]])
 
-    def keep(rows, start, lo, hi):
-        stop = start + hi.shape[1]
-        lam[rows, start:stop] = hi
-        lam[rows, full - stop + 1 : full - start + 1] = n_bases - lo[:, ::-1]
-
-    if d != 3 or n < CLOSED_FORM_KETS:
+    if n < CLOSED_FORM_KETS or (d != 3 and (n < CERTIFIED_KETS or n_bases < 3 or d < 2)):
+        low_frames = _subset_frames(pools[:, :low])[0]
         for h in range(high_frames.shape[1]):
             # h = 0 is the empty high subset, whose zero frame would add nothing:
             # the sums start from +0.0, so no entry is -0.0.
             w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
-            keep(slice(None), h << low, w[..., 0], w[..., -1])
+            start, stop = h << low, (h + 1) << low
+            lam[:, start:stop] = w[..., -1]
+            lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
         return lam, sizes
 
-    cols = min(low_frames.shape[1], 1 << CLOSED_FORM_BITS)
-    rows = (1 << CLOSED_FORM_BITS) // cols
-    chunks = list(
-        itertools.product(range(high_frames.shape[1]), range(0, n_sets, rows), range(0, low_frames.shape[1], cols))
-    )
+    # A low frame of the eigvalsh screen is the table frame of its first
+    # ``bits`` kets plus the ket frames of its other low kets, added in
+    # ascending order: the subset doubling's sums, to the bit.
+    bits = min(half, CLOSED_FORM_BITS)
+    cols, rows = 1 << bits, 1 << (CLOSED_FORM_BITS - bits)
+    table = _subset_frames(pools[:, :bits])[0]
+    kets = {i: _ket_frames(pools[:, i]) for i in range(bits, low)}
+    # (sets, first bitmask, its size, high subset, first low subset) of each chunk
+    chunks = [
+        (slice(s, s + rows), (h << low) + c, high_sizes[h] + low_sizes[c], h, c)
+        for h, s, c in itertools.product(range(high_frames.shape[1]), range(0, n_sets, rows), range(0, 1 << low, cols))
+    ]
     # Within a chunk the sizes are a base plus the popcount of the column;
     # ordered by popcount, each size is one run for reduceat.
-    order = np.argsort(low_sizes[:cols], kind="stable")
-    runs = np.searchsorted(low_sizes[:cols][order], np.arange(low_sizes[cols - 1] + 1))
-    top = np.full((n_sets, n + 1), -np.inf)
-    for h, s, c in chunks:
-        at = slice(s, s + rows)
-        lo, hi = _qutrit_extremes(low_frames[at, c : c + cols] + high_frames[at, h, None])
-        keep(at, (h << low) + c, lo, hi)
-        k = high_sizes[h] + low_sizes[c] + np.arange(runs.size)
-        top[at, k] = np.maximum(top[at, k], np.maximum.reduceat(hi[:, order], runs, axis=1))
-        top[at, n - k] = np.maximum(top[at, n - k], n_bases - np.minimum.reduceat(lo[:, order], runs, axis=1))
-    near = top - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
-    # Chunk by chunk again, so no (set, bitmask) array of thresholds is held:
-    # a frame goes to eigvalsh when its subset or its complement is near.
-    picked = []
-    for h, s, c in chunks:
-        at, start = slice(s, s + rows), (h << low) + c
-        own, comp = slice(start, start + cols), slice(full - start - cols + 1, full - start + 1)
-        sent = (lam[at, own] >= near[at, sizes[own]]) | (lam[at, comp] >= near[at, sizes[comp]])[:, ::-1]
-        i, j = np.nonzero(sent)
-        picked.append((s + i, start + j))
-    owners, frame = (np.concatenate(part) for part in zip(*picked))
-    # the zero frame of an empty high subset adds nothing, as above, so each
-    # gathered frame has the bits that the eigvalsh screen diagonalizes
-    w = np.linalg.eigvalsh(low_frames[owners, frame & ((1 << low) - 1)] + high_frames[owners, frame >> low])
-    lam[owners, frame] = w[:, -1]
-    lam[owners, full - frame] = n_bases - w[:, 0]
+    order, runs = _popcount_runs(low_sizes[:cols])
+
+    def chunk_frames(at, h, c, table, kets, high, out=None):
+        """A chunk's frames from a table, its ket frames and the high-subset
+        frames ``high[set, h]``, all in one layout; into ``out`` if given."""
+        terms = [kets[i][at] for i in kets if c >> i & 1] + ([high[at, h]] if h else [])
+        if not terms:
+            if out is None:
+                return table[at]
+            out[...] = table[at]
+            return out
+        f = np.add(table[at], terms[0], out=out)
+        for term in terms[1:]:
+            f += term
+        return f
+
+    def views(at, start):
+        """lam of a chunk's subsets, and of their complements in reverse order."""
+        return lam[at, start : start + cols], lam[at, full - start - cols + 1 : full - start + 1]
+
+    def diagonalize(owners, frame):
+        """Store the eigvalsh values of the frames (set, bitmask): lambda_max
+        for the subset and N - lambda_min for its complement, at most
+        2^SCREEN_BITS frames per call."""
+        for b in range(0, owners.size, 1 << SCREEN_BITS):
+            o, m = owners[b : b + (1 << SCREEN_BITS)], frame[b : b + (1 << SCREEN_BITS)]
+            f = table[o, m & (cols - 1)]
+            for i in kets:
+                on = (m >> i & 1).astype(bool)
+                f[on] += kets[i][o[on], 0]
+            # the zero frame of an empty high subset adds nothing, as above
+            w = np.linalg.eigvalsh(f + high_frames[o, m >> low])
+            lam[o, m] = w[:, -1]
+            lam[o, full - m] = n_bases - w[:, 0]
+
+    def gather(sent):
+        """``diagonalize`` the frames that ``sent`` yields chunk by chunk, as
+        soon as 2^SCREEN_BITS of them are pending."""
+        pending = []
+        for part in sent:
+            pending.append(part)
+            if sum(owners.size for owners, _ in pending) >= 1 << SCREEN_BITS:
+                diagonalize(*(np.concatenate(p) for p in zip(*pending)))
+                pending = []
+        if pending:
+            diagonalize(*(np.concatenate(p) for p in zip(*pending)))
+
+    if d == 3:
+        top = np.full((n_sets, n + 1), -np.inf)
+        for at, start, base, h, c in chunks:
+            lo, hi = _qutrit_extremes(chunk_frames(at, h, c, table, kets, high_frames[:, :, None]))
+            own, comp = views(at, start)
+            own[:], comp[:] = hi, n_bases - lo[:, ::-1]
+            k = base + np.arange(runs.size)
+            top[at, k] = np.maximum(top[at, k], np.maximum.reduceat(hi[:, order], runs, axis=1))
+            top[at, n - k] = np.maximum(top[at, n - k], n_bases - np.minimum.reduceat(lo[:, order], runs, axis=1))
+        near = top - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
+
+        def sent():
+            # Chunk by chunk again, so no (set, bitmask) array of thresholds is
+            # held: a frame goes to eigvalsh when its subset or its complement is near.
+            for at, start, _, _, _ in chunks:
+                own, comp = views(at, start)
+                own_near = near[at][:, sizes[start : start + cols]]
+                comp_near = near[at][:, sizes[full - start - cols + 1 : full - start + 1]]
+                i, j = np.nonzero((own >= own_near) | (comp >= comp_near)[:, ::-1])
+                yield at.start + i, start + j
+
+    else:
+        owners, frame = _rayleigh_candidates(pools, n_bases, chunks, order, runs)
+        diagonalize(owners, frame)
+        floor = np.full((n_sets, n + 1), -np.inf)
+        np.maximum.at(floor, (owners, sizes[frame]), lam[owners, frame])
+        np.maximum.at(floor, (owners, n - sizes[frame]), lam[owners, full - frame])
+        shift = margin[:, None] + CERTIFIED_DELTA * n_bases
+        # by the frame's own size |S|: F_S must lie below upper and above lower
+        upper, lower = floor - shift, n_bases - floor[:, ::-1] + shift
+
+        def by_part(f):
+            """(set, ..., part, d, d, column): real and imaginary parts, columns last."""
+            return np.ascontiguousarray(np.moveaxis(np.stack([f.real, f.imag], axis=-3), -4, -1))
+
+        parts, ket_parts = by_part(table), {i: by_part(v) for i, v in kets.items()}
+        high_parts = by_part(high_frames[:, :, None])
+        # (set, part, d, d, test, column): the subset's test, then the complement's;
+        # n - 1 >= CLOSED_FORM_BITS here, so a chunk is one set's
+        tests = np.empty((1, 2, d, d, 2, cols))
+        diag = np.arange(d)
+
+        def sent():
+            for at, start, _, h, c in chunks:
+                chunk_frames(at, h, c, parts, ket_parts, high_parts, out=tests[..., 1, :])
+                np.negative(tests[..., 1, :], out=tests[..., 0, :])
+                k = sizes[start : start + cols]
+                tests[:, 0, diag, diag, 0] += upper[at][:, None, k]
+                tests[:, 0, diag, diag, 1] -= lower[at][:, None, k]
+                cleared = _cholesky_completes(np.moveaxis(tests, 0, 3)).all(axis=1)
+                # the candidates keep the eigvalsh values they already have
+                mine = (owners >= at.start) & (owners < at.stop) & (frame >= start) & (frame < start + cols)
+                known = np.zeros_like(cleared)
+                known[owners[mine] - at.start, frame[mine] - start] = True
+                cleared &= ~known
+                own, comp = views(at, start)
+                np.copyto(own, -np.inf, where=cleared)
+                np.copyto(comp, -np.inf, where=cleared[:, ::-1])
+                i, j = np.nonzero(~(cleared | known))
+                yield at.start + i, start + j
+
+    gather(sent())
     return lam, sizes
 
 
@@ -336,18 +544,36 @@ def _stack_profiles(pools: np.ndarray, n_bases: int) -> list[MajorizationProfile
     frame_dev = np.max(np.abs(np.linalg.eigvalsh(frames) - n_bases), axis=1)
     margin = ATOL + 2.0 * frame_dev
     lam, sizes = _screen(pools, n_bases, margin)
+    # In rows of 2^b consecutive bitmasks, a bitmask's size is its row's base
+    # plus the popcount of its column: one reduceat per row in popcount order
+    # gives the per-size maxima, then one comparison the picks.  Up to
+    # n = SCREEN_BITS + 1 a row is a set's whole screen.
+    cols = 1 << min(n, SCREEN_BITS + 1)
+    lam = lam.reshape(n_sets, -1, cols)
+    base = sizes[::cols]
+    order, runs = _popcount_runs(sizes[:cols])
+    top = np.full((n_sets, n + 1), -np.inf)
+    for r, b in enumerate(base):
+        k = b + np.arange(runs.size)
+        top[:, k] = np.maximum(top[:, k], np.maximum.reduceat(lam[:, r, order], runs, axis=1))
+    threshold = top - margin[:, None]
+    picked = []
+    for r, b in enumerate(base):
+        owner, col = np.nonzero(lam[:, r] >= threshold[:, b + sizes[:cols]])
+        picked.append((owner, r * cols + col))
+    owners, masks = (np.concatenate(p) for p in zip(*picked))
+    by_size = np.argsort(sizes[masks], kind="stable")
+    owners, masks = owners[by_size], masks[by_size]
+    bounds = np.searchsorted(sizes[masks], np.arange(n + 2))
     s = np.empty((n_sets, n))
     for size in range(1, n + 1):
-        masks = np.flatnonzero(sizes == size)
-        screened = lam[:, masks]
-        owners, picks = np.nonzero(screened >= (screened.max(axis=1) - margin)[:, None])
-        masks = masks[picks]
         best = np.full(n_sets, -np.inf)
         chunk = CONFIRM_ENTRIES // size**2
-        for c in range(0, masks.size, chunk):
-            bits = (masks[c : c + chunk, None] >> np.arange(n)) & 1
+        for c in range(bounds[size], bounds[size + 1], chunk):
+            at = slice(c, min(c + chunk, bounds[size + 1]))
+            bits = (masks[at, None] >> np.arange(n)) & 1
             subsets = np.nonzero(bits)[1].reshape(-1, size)
-            owner = owners[c : c + chunk]
+            owner = owners[at]
             blocks = grams[owner[:, None, None], subsets[:, :, None], subsets[:, None, :]]
             np.maximum.at(best, owner, np.linalg.eigvalsh(blocks)[:, -1])
         s[:, size - 1] = best
@@ -367,8 +593,9 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
     two stages:
 
     1. Screen: lambda_max(F_S) for every subset (``_screen``).  For
-       qutrit pools of CLOSED_FORM_KETS kets or more, a closed form first
-       decides which frames eigvalsh must see.
+       qutrit pools of CLOSED_FORM_KETS kets or more a closed form, and
+       for other pools of CERTIFIED_KETS kets or more a Cholesky
+       certificate, first decides which frames eigvalsh must see.
     2. Confirm: per size k, only the subsets screened within ``margin`` of
        the size's screened maximum get their Gram blocks gathered and
        diagonalized as an exhaustive search does (symmetrized Gram
@@ -376,7 +603,7 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
 
     The eigvalsh screen errs by about 1e-14, plus the frame deviation of
     bases that are orthonormal only within ATOL, which widens the margin;
-    the closed form only changes values that no confirmation picks.  So the
+    the prefilters only change values that no confirmation picks.  So the
     confirmed subsets always include the one attaining the exhaustive
     maximum, and the profile is bit-identical to the exhaustive Gram-block
     search.  The frame operators alone would not be: in the flat tail they

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 import eurkit.bounds
 from eurkit.bounds import (
+    CERTIFIED_DELTA,
+    CERTIFIED_KETS,
     CLOSED_FORM_BITS,
     CLOSED_FORM_EPS,
     CLOSED_FORM_KETS,
@@ -126,11 +128,11 @@ def random_set(rng, d, n):
     return [random_basis(rng, dim=d, label=f"R{i}") for i in range(n)]
 
 
-def near_orthonormal_set(rng, d):
+def near_orthonormal_set(rng, d, n_bases=None):
     # kets with squared norm 1 + 0.99e-9 still pass the orthonormality
     # check, but the frame sum of N bases is off N * 1 by about N * 1e-9
     stretched = random_basis(rng, dim=d).basis * math.sqrt(1.0 + 0.99e-9)
-    return ([ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, 12 // d - 2))[::-1]
+    return ([ProjectiveMeasurement(stretched)] * 2 + random_set(rng, d, (n_bases or 12 // d) - 2))[::-1]
 
 
 def screen_oracle(pools, n_bases):
@@ -626,6 +628,173 @@ class TestQutritPrefilter:
             lam, sizes = eurkit.bounds._screen(pools, len(sets[0]), screen_margins(pools, len(sets[0])))
             oracle_lam, oracle_sizes = screen_oracle(pools, len(sets[0]))
             assert np.array_equal(lam, oracle_lam) and np.array_equal(sizes, oracle_sizes)
+
+
+def haar_unitaries(rng, d, count):
+    z = rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def clears_below(frames, tau, n_bases):
+    """The screen's subset test: whether (tau - delta) 1 - F is certified positive definite."""
+    parts = np.moveaxis(np.stack([-frames.real, -frames.imag]), 1, -1).copy()
+    d = frames.shape[-1]
+    parts[0, np.arange(d), np.arange(d)] += tau - CERTIFIED_DELTA * n_bases
+    return eurkit.bounds._cholesky_completes(parts)
+
+
+def clears_above(frames, sigma, n_bases):
+    """The screen's complement test: whether F - (sigma + delta) 1 is certified positive definite."""
+    parts = np.moveaxis(np.stack([frames.real, frames.imag]), 1, -1).copy()
+    d = frames.shape[-1]
+    parts[0, np.arange(d), np.arange(d)] -= sigma + CERTIFIED_DELTA * n_bases
+    return eurkit.bounds._cholesky_completes(parts)
+
+
+class TestCertifiedScreen:
+    OFFSETS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3)
+
+    def spectra(self, rng, d, count):
+        """Ascending spectra in [0, 8]: generic, with a double or triple top
+        or bottom, rank-deficient, zero and c * 1."""
+        lam = np.sort(rng.uniform(0.0, 8.0, (count, d)), axis=1)
+        kind = np.arange(count) % 7
+        lam[kind == 1, -2] = lam[kind == 1, -1]
+        lam[kind == 2, -3:] = lam[kind == 2, -1:]
+        lam[kind == 3, 1] = lam[kind == 3, 0]
+        lam[kind == 4, : d // 2] = 0.0
+        lam[kind == 5] = 0.0
+        lam[kind == 6] = lam[kind == 6, :1]
+        return lam
+
+    def frames(self, rng, lam):
+        u = haar_unitaries(rng, lam.shape[1], lam.shape[0])
+        f = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        f = 0.5 * (f + f.conj().transpose(0, 2, 1))
+        # c * 1 exactly, c = 0 included, besides the rotated ones
+        exact = lam.shape[0] // 7
+        f[:exact] = lam[:exact, :1, None] * np.eye(lam.shape[1])
+        return f
+
+    def test_certificate_is_sound_and_live(self, rng):
+        total = 0
+        for d in (2, 3, 4, 5, 6):
+            count = 22_050
+            lam = self.spectra(rng, d, count)
+            f = self.frames(rng, lam)
+            # rank-deficient frames of d - 1 random kets of a pool
+            kets = np.array([random_basis(rng, dim=d).basis[: d - 1] for _ in range(count // 10)])
+            f = np.concatenate([f, np.einsum("kai,kaj->kij", kets, kets.conj())])
+            total += len(f)
+            w = np.linalg.eigvalsh(f)
+            offsets = np.array(self.OFFSETS)[rng.integers(0, len(self.OFFSETS), len(f))]
+            n_bases = np.ceil(np.maximum(w[:, -1], 1.0))
+            tau = w[:, -1] + offsets
+            below = clears_below(f, tau, n_bases)
+            assert not np.any(below & (w[:, -1] >= tau))
+            assert np.all(below[w[:, -1] <= tau - 1e-6])
+            sigma = w[:, 0] + offsets
+            above = clears_above(f, sigma, n_bases)
+            assert not np.any(above & (w[:, 0] <= sigma))
+            assert np.all(above[w[:, 0] >= sigma + 1e-6])
+            # the matrices exercise both outcomes of both tests
+            assert below.any() and (~below).any() and above.any() and (~above).any()
+        assert total >= 100_000
+
+    def test_thresholds_inside_delta_are_never_cleared(self, rng):
+        lam = self.spectra(rng, 4, 7000)
+        f = self.frames(rng, lam)
+        w = np.linalg.eigvalsh(f)
+        # within delta of the threshold the certificate must fail even where
+        # the exact matrix is definite
+        assert not clears_below(f, w[:, -1] + 0.5 * CERTIFIED_DELTA, np.ones(len(f))).any()
+        assert not clears_above(f, w[:, 0] - 0.5 * CERTIFIED_DELTA, np.ones(len(f))).any()
+
+    def test_confirms_the_subsets_of_the_eigvalsh_screen(self, rng):
+        # 18 kets split into 15 low and 2 high kets besides the last
+        for d, n_bases in ((2, 7), (2, 8), (4, 4), (5, 3), (7, 2), (2, 9)):
+            assert_screen_confirms_as_oracle([random_set(rng, d, n_bases)])
+
+    def test_tie_heavy_pools(self, rng):
+        # copies of one basis, and a repeated basis
+        for d, n_bases in ((2, 7), (4, 4), (5, 3)):
+            ms = random_set(rng, d, n_bases)
+            assert_screen_confirms_as_oracle([[ms[0]] * n_bases])
+            ms[-1] = ms[0]
+            assert_screen_confirms_as_oracle([ms])
+
+    def test_near_orthonormal_pools_and_stacks(self, rng):
+        assert_screen_confirms_as_oracle([near_orthonormal_set(rng, 2, 8)])
+        assert_screen_confirms_as_oracle([near_orthonormal_set(rng, 4, 4)])
+        # 14 and 15 kets: stacks of 4 and 2 sets, one screen each, where
+        # every set keeps its own margin and thresholds
+        exact, repeated = random_set(rng, 2, 7), random_set(rng, 2, 7)
+        repeated[3] = repeated[1]
+        assert_screen_confirms_as_oracle([exact, near_orthonormal_set(rng, 2, 7), repeated, exact])
+        assert_screen_confirms_as_oracle([near_orthonormal_set(rng, 2, 7), *[random_set(rng, 2, 7) for _ in range(3)]])
+        assert_screen_confirms_as_oracle([near_orthonormal_set(rng, 5, 3), random_set(rng, 5, 3)])
+        assert_screen_confirms_as_oracle([random_set(rng, 5, 3), near_orthonormal_set(rng, 5, 3)])
+
+    def test_pools_of_one_or_two_bases_keep_the_eigvalsh_screen(self, rng, monkeypatch):
+        # every subset of one basis ties at 1, and with two bases nearly every
+        # frame ties at N on one side, so no certificate could clear them
+        def no_certificate(a):
+            raise AssertionError("certificate run on a pool that ties at nearly every frame")
+
+        monkeypatch.setattr(eurkit.bounds, "_cholesky_completes", no_certificate)
+        phases = [ProjectiveMeasurement([[np.exp(1j * t)]]) for t in rng.uniform(0.0, 2.0 * np.pi, 14)]
+        for sets in ([random_set(rng, 13, 1)], [random_set(rng, 7, 2)], [phases]):
+            pools = pools_of(sets)
+            lam, sizes = eurkit.bounds._screen(pools, len(sets[0]), screen_margins(pools, len(sets[0])))
+            oracle_lam, oracle_sizes = screen_oracle(pools, len(sets[0]))
+            assert np.array_equal(lam, oracle_lam) and np.array_equal(sizes, oracle_sizes)
+
+    def test_single_basis_of_dimension_thirteen(self, rng):
+        assert_screen_confirms_as_oracle([random_set(rng, 13, 1)])
+        assert_profile_matches_oracle(random_set(rng, 13, 1))
+
+    def test_profiles_match_gram_block_oracle(self, rng):
+        assert CERTIFIED_KETS <= 14
+        sets = [random_set(rng, 2, 7), near_orthonormal_set(rng, 2, 7)]
+        sets[0][6] = sets[0][2]
+        for ms in sets:
+            assert_profile_matches_oracle(ms)
+        assert_stack_matches_oracle(sets)
+
+    def test_reference_pool_profile_is_recorded(self):
+        bases, recorded = reference_pool(16)
+        assert rpz_profile(bases).s_coeffs == recorded
+
+    def test_sixteen_ket_pool_sends_few_frames_to_eigvalsh(self, monkeypatch):
+        bases, _ = reference_pool(16)
+        calls, chunks = [], []
+        eigvalsh, completes = np.linalg.eigvalsh, eurkit.bounds._cholesky_completes
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        def chunked(a):
+            chunks.append(a.shape)
+            return completes(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(eurkit.bounds, "_cholesky_completes", chunked)
+        rpz_profile(bases)
+        # the frame deviation, the candidates, the uncleared frames, then the
+        # Gram blocks by size from 1
+        assert calls[0] == (1, 4, 4)
+        first_block = next(i for i, shape in enumerate(calls) if shape[-1] == 1)
+        screen = calls[1:first_block]
+        assert len(screen) >= 2 and all(shape[1:] == (4, 4) for shape in screen)
+        assert sum(shape[0] for shape in screen) <= 1000
+        assert all(math.prod(shape[:-2]) < 1 << 15 for shape in calls)
+        # (part, d, d, set, test, column): both tests of at most 2^12 frames
+        assert all(shape[:3] == (2, 4, 4) and shape[4] == 2 for shape in chunks)
+        assert all(shape[3] * shape[5] <= 1 << CLOSED_FORM_BITS for shape in chunks)
+        assert sum(shape[3] * shape[5] for shape in chunks) == 1 << 15
 
 
 class TestRpzBound:

@@ -66,6 +66,15 @@ def test_rpz_screen_report():
     assert frames == "frames sent to eigvalsh: 32 of 32"
 
 
+def test_rpz_screen_report_certified_pool():
+    # 16 kets of d = 4: the Cholesky certificate clears most frames
+    rows, frames = report_rows(run_script("rpz_screen_report.py", "--d", "4", "--n-bases", "4", "--seed", "0"))
+    assert [row[:2] for row in rows] == [[k, math.comb(16, k)] for k in range(1, 17)]
+    assert all(1 <= confirmed <= screened <= subsets for _, subsets, screened, confirmed in rows)
+    sent = int(frames.removeprefix("frames sent to eigvalsh: ").removesuffix(" of 32768"))
+    assert sent < 2000
+
+
 def test_rpz_screen_report_refuses_bad_arguments():
     for args in (("--d", "1", "--n-bases", "3"), ("--d", "3", "--n-bases", "0"), ("--d", "3", "--n-bases", "9")):
         proc = run_script("rpz_screen_report.py", *args)
