@@ -16,20 +16,22 @@ negative lower bound on entropies is vacuous, hence the clamp.
 ``mu_bound`` is the pairwise log-overlap bound they all generalize.  Each
 bound's pieces are computed on its first use on a ``MeasurementSet`` and
 kept there; an evaluation then costs one entropy (``_evaluate``).  scb and
-lmf read the set's squared overlaps and enumerate chains and orderings
-exhaustively; each rpz subset is screened on its d x d frame operator,
-and only the near-maximal ones are confirmed on their Gram blocks, for a
-stack of sets at once (``rpz_profiles``).  Larger pools first clear the
-frames that provably lie below their sizes' maxima, and only the others go
-to eigvalsh: qutrit pools of 12 kets or more by a closed form with a proven
-error bound, other pools of three or more bases and 13 kets or more by a
-Cholesky certificate (Rump, BIT 46, 433 (2006)).  The confirmed subsets
-stay those of the eigvalsh-only screen.  All three searches are capped,
-never heuristic.
+lmf read the set's squared overlaps: scb finds its smallest cyclic products
+by a bitmask dynamic programme, to the bits of a search over every cycle,
+and lmf_best tries every ordering.  Each rpz subset is screened on its
+d x d frame operator, and only the near-maximal ones are confirmed on their
+Gram blocks, for a stack of sets at once (``rpz_profiles``).  Larger pools
+first clear the frames that provably lie below their sizes' maxima, and
+only the others go to eigvalsh: qutrit pools of 12 kets or more by a closed
+form with a proven error bound, other pools of three or more bases and 13
+kets or more by a Cholesky certificate (Rump, BIT 46, 433 (2006)).  The
+confirmed subsets stay those of the eigvalsh-only screen.  All three
+searches are capped, never heuristic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,6 +61,10 @@ from .linalg import (
 # confirmation the heaviest; for d = 3, 1.7 s and 0.19 GB for random bases
 # and 7.0 s and 0.22 GB for eight copies of one basis.
 MAX_POOL_VECTORS = 24
+# The screen's work grows as 2^(n-1) d^3, and a pool is refused past that
+# of the worst pool timed above, n = 24 at d = 4: one basis of d = 24 has
+# only 24 kets, yet its 2^23 frames of 24 x 24 would take about 330 s.
+MAX_SCREEN_WORK = (1 << 23) * 4**3
 # The rpz screen diagonalizes 2^SCREEN_BITS d x d frame operators per
 # eigvalsh call, from as many sets of a stack as fit; the confirmation
 # gathers at most CONFIRM_ENTRIES Gram-block entries (8 MB) per call, 2^15
@@ -96,7 +102,11 @@ CERTIFIED_KETS = 13
 CERTIFIED_DELTA = 1e-12
 # Best-ordering search is factorial in the number of measurements.
 MAX_ORDERING_SEARCH = 5
-# Cyclic-chain enumeration is factorial in the number of measurements.
+# The scb cycle search visits at most 2^N N^3 path states.  At d = 2 on one
+# core of a 2-vCPU x86 host it takes 0.06 ms at N = 8 and 0.15 ms at N = 9,
+# after 0.65 and 1.4 ms to build that N's tables once per process; N = 12
+# would take 3 ms after 34 ms.  The cap stays until one cost model sets
+# every cap.
 MAX_SCB_MEASUREMENTS = 9
 
 
@@ -120,24 +130,77 @@ def _evaluate(ms: MeasurementSet, name: str, pieces, rho=None) -> float:
     return max(0.0, max(c + a * s for c, a in kept))
 
 
+@functools.lru_cache(maxsize=None)
+def _cycle_tables(n: int):
+    """Index tables of ``_scb_pieces``'s search over n measurements, built
+    once per n: the flat indices f*n + s of the states with S = {s}, then
+    per size L = 1..n-1 of S (step, ends, closing).  ``step`` (None at
+    L = 1) is each edge's source state and flat index v*n + w, grouped by
+    the L-state it enters, and where each group starts; ``ends`` are the
+    L-states that close a cycle (all at L = 1, those with v > s above) and
+    ``closing`` the flat index v*n + f of their closing edge.
+    """
+    f, s = np.triu_indices(n, 1)
+    first, mask, v = f * n + s, 1 << s, s
+    tables = [(None, np.arange(len(f)), s * n + f)]
+    w = np.arange(n)
+    for _ in range(2, n):
+        # state pred goes on to each index nxt above its f and outside its S,
+        # into the state (f, s, S + nxt, nxt) that ``key`` numbers
+        pred, nxt = np.nonzero((w > f[:, None]) & (mask[:, None] >> w & 1 == 0))
+        key = ((f * n + s)[pred] << n | mask[pred] | 1 << nxt) * n + nxt
+        order = np.argsort(key, kind="stable")
+        pred, nxt, key = pred[order], nxt[order], key[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        step = (pred, v[pred] * n + nxt, starts)
+        f, s, mask, v = f[pred][starts], s[pred][starts], (mask[pred] | 1 << nxt)[starts], nxt[starts]
+        ends = np.flatnonzero(v > s)
+        tables.append((step, ends, v[ends] * n + f[ends]))
+    return first, tables
+
+
+def _smallest_cycle_products(c: np.ndarray) -> list:
+    """P_2..P_n of the n x n overlap matrix c, by the search of
+    ``_scb_pieces`` over the states of ``_cycle_tables``."""
+    first, tables = _cycle_tables(len(c))
+    flat = c.ravel()
+    prods = flat[first]
+    products = []
+    for step, ends, closing in tables:
+        if step is not None:
+            pred, edge, starts = step
+            prods = np.minimum.reduceat(prods[pred] * flat[edge], starts)
+        products.append((prods[ends] * flat[closing]).min())
+    return products
+
+
 def _scb_pieces(ms: MeasurementSet) -> tuple[tuple[float, float], ...]:
+    """The scb pieces (0, N) and (-1/2 log2 P_k, N - k/2), with P_k the
+    smallest product c[f, s] c[s, .] ... c[v, f] over the cycles of k
+    distinct measurements, c the pairwise overlap matrix.
+
+    Each cycle is taken once: from its smallest index f, and for k >= 3 in
+    the direction whose second index s is below its last v (c is symmetric,
+    so a reversed cycle has the same product).  A bitmask dynamic programme
+    (Held & Karp, J. SIAM 10, 196 (1962)) over the states (f, s, S, v), a
+    path from f through the set S above f, keeps each state's smallest path
+    product, multiplied left to right as the cycle reads.  That is exact:
+    for c >= 0 the rounded product fl(x c) is monotone in x, so extending
+    the smallest prefix gives the same float as extending every path and
+    taking the smallest, and P_k has the bits of a search over every
+    cycle.  At most 2^N N^3 states and 2^N N^4 products; each path length
+    is one gather, one multiply and one ``np.minimum.reduceat``, and each
+    close one gather, one multiply and one min.  Refused past
+    MAX_SCB_MEASUREMENTS before the overlaps or any table.
+    """
     n = len(ms)
     if n > MAX_SCB_MEASUREMENTS:
         raise CapacityError(f"scb chains limited to {MAX_SCB_MEASUREMENTS} measurements, got {n}")
     # c[i, j] is overlap_c of bases i < j, mirrored; no cycle reads c[i, i].
     c = np.minimum(np.triu(ms.squared_overlaps.max(axis=(2, 3)), 1), 1.0)
     c = c + c.T
-    pieces = [(0.0, float(n))]
-    for k in range(2, n + 1):
-        cycles = (
-            (first, *rest)
-            for first in range(n - k + 1)
-            for rest in itertools.permutations(range(first + 1, n), k - 1)
-            if rest[0] <= rest[-1]  # equal only for k = 2, whose cycle is its own reverse
-        )
-        prod_k = min(math.prod(c[cyc[t], cyc[(t + 1) % k]] for t in range(k)) for cyc in cycles)
-        pieces.append((-0.5 * math.log2(prod_k), n - k / 2.0))
-    return tuple(pieces)
+    products = _smallest_cycle_products(c)
+    return ((0.0, float(n)), *((-0.5 * math.log2(p), n - k / 2.0) for k, p in enumerate(products, 2)))
 
 
 def scb_bound(measurements, rho) -> float:
@@ -145,9 +208,8 @@ def scb_bound(measurements, rho) -> float:
     -1/2 log2(smallest cyclic overlap product of k distinct measurements)
     + (N - k/2) S(rho); the k = 0 term is N S(rho).
 
-    Each cycle is enumerated once: from its smallest index only, not once
-    per rotation, and in one direction only (the overlap matrix is
-    symmetric, so a reversed cycle has the same product).  Limited to
+    The smallest products come from a bitmask dynamic programme, to the
+    bits of a search over every cycle (``_scb_pieces``).  Limited to
     MAX_SCB_MEASUREMENTS measurements.
     """
     ms = as_measurements(measurements, minimum=2)
@@ -617,7 +679,8 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
     call gathers the blocks of all those sets, at most CONFIRM_ENTRIES
     entries per call; each set keeps its own margin.  eigvalsh diagonalizes
     every matrix of a batch on its own, so a set's profile does not depend
-    on the stack it came in.  Limited to MAX_POOL_VECTORS pooled kets.
+    on the stack it came in.  Limited to MAX_POOL_VECTORS pooled kets and
+    to MAX_SCREEN_WORK screen work 2^(n-1) d^3.
     """
     stack = [as_measurements(ms, minimum=1) for ms in sets]
     shapes = {(len(ms), ms[0].dim) for ms in stack}
@@ -630,6 +693,10 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
     if n > MAX_POOL_VECTORS:
         raise CapacityError(
             f"majorization profile limited to {MAX_POOL_VECTORS} pooled vectors, got {n}"
+        )
+    if (1 << (n - 1)) * d**3 > MAX_SCREEN_WORK:
+        raise CapacityError(
+            f"majorization screen limited to 2^(n-1) d^3 <= {MAX_SCREEN_WORK}, got n = {n} kets of dimension {d}"
         )
     per_call = max(1, (1 << SCREEN_BITS) >> (n - 1))
     profiles = []

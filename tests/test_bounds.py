@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import eurkit.bounds
@@ -17,6 +19,7 @@ from eurkit.bounds import (
     MAX_ORDERING_SEARCH,
     MAX_POOL_VECTORS,
     MAX_SCB_MEASUREMENTS,
+    MAX_SCREEN_WORK,
     BoundReport,
     bound_report,
     lmf_bound,
@@ -72,6 +75,26 @@ def scb_oracle(ms, s):
                 prod *= min(c, 1.0)
             best = max(best, -0.5 * math.log2(prod) + (n - k / 2) * s)
     return best
+
+
+def scb_pieces_oracle(ms):
+    """The scb pieces by enumerating the cycles of each length k: from the
+    smallest index, in the direction whose second index is below the last,
+    each product multiplied left to right by ``math.prod``."""
+    n = len(ms)
+    c = np.minimum(np.triu(MeasurementSet(ms).squared_overlaps.max(axis=(2, 3)), 1), 1.0)
+    c = c + c.T
+    pieces = [(0.0, float(n))]
+    for k in range(2, n + 1):
+        cycles = (
+            (first, *rest)
+            for first in range(n - k + 1)
+            for rest in itertools.permutations(range(first + 1, n), k - 1)
+            if rest[0] <= rest[-1]  # equal only for k = 2, whose cycle is its own reverse
+        )
+        prod_k = min(math.prod(c[cyc[t], cyc[(t + 1) % k]] for t in range(k)) for cyc in cycles)
+        pieces.append((-0.5 * math.log2(prod_k), n - k / 2.0))
+    return tuple(pieces)
 
 
 def lmf_coefficient_oracle(ms):
@@ -243,11 +266,44 @@ class TestScbBound:
                     expected = max(scb_oracle(ms, von_neumann_entropy(rho)), 0.0)
                     assert abs(scb_bound(ms, rho) - expected) < 1e-12
 
+    def test_pieces_match_cycle_enumeration_on_family_grid(self):
+        for a in np.linspace(0.0, 1.0, 101):
+            ms = build_family(a)
+            assert eurkit.bounds._scb_pieces(ms) == scb_pieces_oracle(ms)
+
+    def test_pieces_match_cycle_enumeration_on_random_pools(self, rng):
+        # every other pool repeats a basis, whose overlap c = 1 ties cycles
+        for n in range(2, MAX_SCB_MEASUREMENTS + 1):
+            for d in (2, 3, 4):
+                ms = random_set(rng, d, n)
+                if (n + d) % 2:
+                    ms[-1] = ms[int(rng.integers(0, n - 1))]
+                assert eurkit.bounds._scb_pieces(MeasurementSet(ms)) == scb_pieces_oracle(ms)
+
     def test_reduces_to_mu_for_pairs(self, rng):
         for _ in range(30):
             r, s = random_basis(rng), random_basis(rng)
             rho = random_density(rng, pure=True)
             assert abs(scb_bound([r, s], rho) - mu_bound(r, s)) < BOUND_TOL
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        d=st.integers(2, 4),
+        pure=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_and_global_unitary_invariance(self, seed, n, d, pure):
+        rng = np.random.default_rng(seed)
+        ms = random_set(rng, d, n)
+        rho = random_density(rng, d, pure=pure)
+        base = scb_bound(ms, rho)
+        relabelled = [ms[i] for i in rng.permutation(n)]
+        assert abs(scb_bound(relabelled, rho) - base) < 1e-12
+        u = random_basis(rng, dim=d).basis  # its rows are orthonormal: a unitary
+        turned = [ProjectiveMeasurement(m.basis @ u.T) for m in ms]
+        turned_rho = DensityOperator(u @ rho.matrix @ u.conj().T)
+        assert abs(scb_bound(turned, turned_rho) - base) < 1e-12
 
     def test_permutation_invariance(self, rng):
         ms = [random_basis(rng, label=f"R{i}") for i in range(3)]
@@ -271,33 +327,34 @@ class TestScbBound:
             scb_bound(ms, DensityOperator.from_ket([1, 0]))
 
 
-    def test_capacity_refused_before_overlaps(self, rng):
+    def test_capacity_refused_before_overlaps(self, rng, monkeypatch):
+        tables = []
+        monkeypatch.setattr(eurkit.bounds, "_cycle_tables", tables.append)
         ms = MeasurementSet([random_basis(rng, dim=2)] * (MAX_SCB_MEASUREMENTS + 1))
         with pytest.raises(CapacityError):
             scb_bound(ms, DensityOperator.from_ket([1, 0]))
         assert "squared_overlaps" not in ms.__dict__
+        assert tables == []
 
     def test_overlap_matrix_is_overlap_c_of_each_pair(self, rng, monkeypatch):
-        # scb multiplies entries of its overlap matrix: record every product
-        products = []
+        # record the overlap matrix that the cycle search multiplies
+        matrices = []
 
-        class RecordingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
+        def recording(c):
+            matrices.append(c)
+            return search(c)
 
-            def prod(self, factors):
-                products.append(list(factors))
-                return math.prod(products[-1])
-
-        monkeypatch.setattr(eurkit.bounds, "math", RecordingMath())
+        search = eurkit.bounds._smallest_cycle_products
+        monkeypatch.setattr(eurkit.bounds, "_smallest_cycle_products", recording)
         for d, n in ((2, 4), (3, 3), (3, 5), (4, 4)):
             ms = random_set(rng, d, n)
             ms[-1] = ms[0]  # a repeated basis has c = 1
-            del products[:]
+            del matrices[:]
             scb_bound(ms, random_density(rng, d))
-            # the k = 2 cycles come first: (i, j) then (j, i), for i < j
+            # the k = 2 cycles read (i, j) then (j, i), for i < j
+            (c,) = matrices
             pairs = list(itertools.combinations(range(n), 2))
-            assert products[: len(pairs)] == [[overlap_c(ms[i], ms[j])] * 2 for i, j in pairs]
+            assert [[c[i, j], c[j, i]] for i, j in pairs] == [[overlap_c(ms[i], ms[j])] * 2 for i, j in pairs]
 
 
 class TestLmfBound:
@@ -461,6 +518,29 @@ class TestRpzProfile:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
         with pytest.raises(CapacityError):
             rpz_profile(ms)
+
+    def test_screen_work_limit(self, rng, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("rpz started work past its cap")
+
+        # one basis of d = 24 passes the ket cap, but not the screen's work
+        ms = [random_basis(rng, dim=24)]
+        assert (1 << 23) * 24**3 > MAX_SCREEN_WORK
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_work)
+        with pytest.raises(CapacityError):
+            rpz_profile(ms)
+
+    def test_screen_work_limit_admits_the_largest_timed_pool(self, rng, monkeypatch):
+        # six bases of d = 4, 24 kets: the worst pool whose time is stated
+        stacked = []
+
+        def no_profile(pools, n_bases):
+            stacked.append(pools.shape)
+            return []
+
+        monkeypatch.setattr(eurkit.bounds, "_stack_profiles", no_profile)
+        rpz_profiles([random_set(rng, 4, 6)])
+        assert stacked == [(1, 24, 4)]
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -960,20 +1040,16 @@ class TestPieceCache:
     def test_pieces_are_computed_once_per_set(self, rng, monkeypatch):
         products, chains = [], []
 
-        class RecordingMath:
-            def __getattr__(self, name):
-                return getattr(math, name)
-
-            def prod(self, factors):
-                products.append(None)
-                return math.prod(factors)
+        def counting_search(c):
+            products.append(None)
+            return search(c)
 
         def counting_chain(ms, order):
             chains.append(tuple(order))
             return chain_coefficient(ms, order)
 
-        chain_coefficient = eurkit.bounds._chain_coefficient
-        monkeypatch.setattr(eurkit.bounds, "math", RecordingMath())
+        search, chain_coefficient = eurkit.bounds._smallest_cycle_products, eurkit.bounds._chain_coefficient
+        monkeypatch.setattr(eurkit.bounds, "_smallest_cycle_products", counting_search)
         monkeypatch.setattr(eurkit.bounds, "_chain_coefficient", counting_chain)
         ms = MeasurementSet(random_set(rng, 3, 4))
         first = scb_bound(ms, random_density(rng)), lmf_bound(ms, random_density(rng))
