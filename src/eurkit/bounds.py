@@ -24,9 +24,11 @@ Gram blocks, for a stack of sets at once (``rpz_profiles``).  Larger pools
 first clear the frames that provably lie below their sizes' maxima, and
 only the others go to eigvalsh: qutrit pools of 12 kets or more by a closed
 form with a proven error bound, other pools of three or more bases and 13
-kets or more by a Cholesky certificate (Rump, BIT 46, 433 (2006)).  The
-confirmed subsets stay those of the eigvalsh-only screen.  All three
-searches are capped, never heuristic.
+kets or more by a Cholesky certificate (Rump, BIT 46, 433 (2006)) against
+thresholds from one candidate frame per size, found by one sort of each
+ket's overlaps.  One loop sends the frames that a prefilter keeps to
+eigvalsh.  The confirmed subsets stay those of the eigvalsh-only screen.
+All three searches are capped, never heuristic.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ from .linalg import (
 # Pooled-vector limit for the majorization profile: the screen covers
 # 2^(n-1) d x d frame operators (in closed form for qutrits, by a Cholesky
 # certificate for d != 3) and keeps 9 * 2^n bytes of screened values.  At
-# n = 24 on one core of a 2-vCPU x86 host: 1.6 s and 0.19 GB for random
-# bases of d = 2 (6.9 s and 0.25 GB with the eigvalsh screen), 3.5 s and
-# 0.20 GB for d = 4 (30.3 s and 0.25 GB), 22 s and 0.26 GB for six copies
-# of one d = 4 basis (37.5 s and 0.28 GB), whose ties make the Gram-block
-# confirmation the heaviest; for d = 3, 1.7 s and 0.19 GB for random bases
-# and 7.0 s and 0.22 GB for eight copies of one basis.
+# n = 24, process time on one core of a 2-vCPU x86 host: 0.7-0.9 s and
+# 0.19 GB for random bases of d = 2 (6.9 s and 0.25 GB with the eigvalsh
+# screen), 2.2-2.4 s and 0.20 GB for d = 4 (30.3 s and 0.25 GB), 23-24 s
+# and 0.26 GB for six copies of one d = 4 basis (37.5 s and 0.28 GB), whose
+# ties make the Gram-block confirmation the heaviest; for d = 3, 1.8-1.9 s
+# and 0.19 GB for random bases and 5.3-5.4 s and 0.22 GB for eight copies
+# of one basis.
 MAX_POOL_VECTORS = 24
 # The screen's work grows as 2^(n-1) d^3, and a pool is refused past that
 # of the worst pool timed above, n = 24 at d = 4: one basis of d = 24 has
@@ -380,7 +383,7 @@ def _popcount_runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.searchsorted(sizes[order], np.arange(int(sizes[-1]) + 1))
 
 
-def _rayleigh_candidates(pools: np.ndarray, n_bases: int, chunks, order, runs) -> tuple[np.ndarray, np.ndarray]:
+def _rayleigh_candidates(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, np.ndarray]:
     """Per set and subset size, the frame (a bitmask without the last ket)
     whose subset or complement of that size has the largest lower bound on
     its screened value, as (set, bitmask) arrays, each frame once.
@@ -388,29 +391,31 @@ def _rayleigh_candidates(pools: np.ndarray, n_bases: int, chunks, order, runs) -
     The bounds are Rayleigh quotients in the pool's own kets,
     <v_i|F_S|v_i> = sum over j in S of |<v_i|v_j>|^2: their max over i
     bounds lambda_max(F_S), and N minus their min the complement's value.
-    They are built by subset doubling over the chunk's columns, plus the
-    quotients of the chunk's higher bits.
+    Over the k-subsets S of the kets without the last, ket i's largest
+    quotient is the sum of its k largest overlaps and its smallest the sum
+    of its k smallest, so one sort of each ket's overlaps gives every
+    size's best subset and best complement.
     """
     n_sets, n, _ = pools.shape
-    cols = order.size
-    g = np.abs(pools.conj() @ pools.transpose(0, 2, 1)) ** 2
-    quotients = np.zeros((n_sets, n, cols))
-    for j in range(cols.bit_length() - 1):
-        np.add(quotients[..., : 1 << j], g[..., j, None], out=quotients[..., 1 << j : 2 << j])
-    counts = np.diff(runs, append=cols)
-    best = np.full((n_sets, n + 1), -np.inf)
-    pick = np.zeros((n_sets, n + 1), dtype=np.int64)
-    q = np.empty_like(quotients[chunks[0][0]])
-    for at, start, base, _, _ in chunks:
-        np.add(quotients[at], (g[at, :, : n - 1] @ ((start >> np.arange(n - 1)) & 1))[..., None], out=q)
-        k = base + np.arange(runs.size)
-        for bound, size in ((q.max(axis=1), k), (n_bases - q.min(axis=1), n - k)):
-            ordered = bound[:, order]
-            top = np.maximum.reduceat(ordered, runs, axis=1)
-            first = np.minimum.reduceat(np.where(ordered == np.repeat(top, counts, axis=1), order, cols), runs, axis=1)
-            better = top > best[at, size]
-            best[at, size] = np.where(better, top, best[at, size])
-            pick[at, size] = np.where(better, start + first, pick[at, size])
+    g = np.abs(pools.conj() @ pools[:, :-1].transpose(0, 2, 1)) ** 2
+    ascending = np.argsort(g, axis=2)
+    at, k = np.arange(n_sets)[:, None], np.arange(n + 1)
+    zero = np.zeros((n_sets, n, 1), dtype=np.int64)
+
+    def extreme(order, end, best):
+        """Per set and k = 0..n, the sum of a ket's first k overlaps in
+        ``order`` that ``best`` (argmax or argmin) picks over the kets, and
+        its bitmask; no subset has n kets, so k = n sums to ``end``."""
+        sums = np.concatenate([zero, np.cumsum(np.take_along_axis(g, order, axis=2), axis=2), zero + end], axis=2)
+        masks = np.concatenate([zero, np.cumsum(1 << order, axis=2), zero], axis=2)
+        i = best(sums, axis=1)
+        return sums[at, i, k], masks[at, i, k]
+
+    subset, subset_masks = extreme(ascending[..., ::-1], -np.inf, np.argmax)
+    smallest, complement_masks = extreme(ascending, np.inf, np.argmin)
+    # at size s = 0..n: the best subset of s kets against the best complement
+    # of a subset of n - s kets
+    pick = np.where(subset >= n_bases - smallest[:, ::-1], subset_masks, complement_masks[:, ::-1])
     keys = np.unique(np.arange(n_sets)[:, None] * (1 << (n - 1)) + pick)
     return keys >> (n - 1), keys & ((1 << (n - 1)) - 1)
 
@@ -427,37 +432,36 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     frames, each built from one table of frames as the eigvalsh screen
     builds it, to the bit: a frame is cleared when its subset and its
     complement both lie provably more than ``margin`` below their sizes'
-    eigvalsh maxima, and only the other frames go to eigvalsh, gathered
-    into calls of at most 2^SCREEN_BITS.  So every subset that the
-    confirmation of ``_stack_profiles`` would pick, the size's maximum
-    among them, gets its eigvalsh value, every other subset a value below
-    the confirmation threshold, and the confirmed subsets are those of the
-    eigvalsh-only screen.  The two prefilters differ only in how they
-    clear a frame:
+    eigvalsh maxima.  One loop asks the prefilter, chunk by chunk, which
+    frames to keep, and sends only those to eigvalsh, gathered into calls
+    of at most 2^SCREEN_BITS.  So every subset that the confirmation of
+    ``_stack_profiles`` would pick, the size's maximum among them, gets its
+    eigvalsh value, every other subset a value below the confirmation
+    threshold, and the confirmed subsets are those of the eigvalsh-only
+    screen.  The two prefilters differ only in how they clear a frame:
 
     - Qutrit pools of at least CLOSED_FORM_KETS kets take both extremes of
       every frame from ``_qutrit_extremes``, which errs by at most
-      eps = CLOSED_FORM_EPS * N, and clear the frames whose subset and
-      complement lie more than ``margin`` + 2 eps below their sizes'
-      closed-form maxima; those keep their closed-form values.
+      eps = CLOSED_FORM_EPS * N, and keep the frames whose subset or
+      complement lies within ``margin`` + 2 eps of its size's closed-form
+      maximum; the others keep their closed-form values.
     - Other pools of at least CERTIFIED_KETS kets first diagonalize the
       frames of ``_rayleigh_candidates``; per set and size k, the largest
       of their eigvalsh values is T'_k, at most the size's maximum.  A
-      frame is cleared, and its two values set to -inf, when the Cholesky
+      frame is cleared, and its two values stay -inf, when the Cholesky
       factorizations of (T'_|S| - margin - delta) 1 - F_S and
       F_S - (N - T'_(n-|S|) + margin + delta) 1 both complete
       (``_cholesky_completes``); delta = CERTIFIED_DELTA * N covers the
-      factorization's rounding and eigvalsh's.
+      factorization's rounding and eigvalsh's.  The candidates, a chunk's
+      only finite values when it is reached, are not sent again.
     """
     n_sets, n, d = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
-    high_frames, high_sizes = _subset_frames(pools[:, low:half])
-    low_sizes = _popcounts(low)
+    high_frames = _subset_frames(pools[:, low:half])[0]
     full = (1 << n) - 1
-    lam = np.empty((n_sets, full + 1))
-    sizes = (high_sizes[:, None] + low_sizes[None, :]).ravel()
-    sizes = np.concatenate([sizes, n - sizes[::-1]])
+    lam = np.full((n_sets, full + 1), -np.inf)
+    sizes = _popcounts(n)
 
     if n < CLOSED_FORM_KETS or (d != 3 and (n < CERTIFIED_KETS or n_bases < 3 or d < 2)):
         low_frames = _subset_frames(pools[:, :low])[0]
@@ -477,14 +481,12 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     cols, rows = 1 << bits, 1 << (CLOSED_FORM_BITS - bits)
     table = _subset_frames(pools[:, :bits])[0]
     kets = {i: _ket_frames(pools[:, i]) for i in range(bits, low)}
-    # (sets, first bitmask, its size, high subset, first low subset) of each chunk
+    # (sets, first bitmask, high subset, first low subset) of each chunk; the
+    # sizes of a chunk's bitmasks are sizes[start] plus their columns' popcounts
     chunks = [
-        (slice(s, s + rows), (h << low) + c, high_sizes[h] + low_sizes[c], h, c)
+        (slice(s, s + rows), (h << low) + c, h, c)
         for h, s, c in itertools.product(range(high_frames.shape[1]), range(0, n_sets, rows), range(0, 1 << low, cols))
     ]
-    # Within a chunk the sizes are a base plus the popcount of the column;
-    # ordered by popcount, each size is one run for reduceat.
-    order, runs = _popcount_runs(low_sizes[:cols])
 
     def chunk_frames(at, h, c, table, kets, high, out=None):
         """A chunk's frames from a table, its ket frames and the high-subset
@@ -519,12 +521,14 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
             lam[o, m] = w[:, -1]
             lam[o, full - m] = n_bases - w[:, 0]
 
-    def gather(sent):
-        """``diagonalize`` the frames that ``sent`` yields chunk by chunk, as
-        soon as 2^SCREEN_BITS of them are pending."""
+    def gather(keep):
+        """``diagonalize`` the frames (set, column) where ``keep(at, start,
+        h, c)`` holds, chunk by chunk, as soon as 2^SCREEN_BITS of them are
+        pending."""
         pending = []
-        for part in sent:
-            pending.append(part)
+        for at, start, h, c in chunks:
+            i, j = np.nonzero(keep(at, start, h, c))
+            pending.append((at.start + i, start + j))
             if sum(owners.size for owners, _ in pending) >= 1 << SCREEN_BITS:
                 diagonalize(*(np.concatenate(p) for p in zip(*pending)))
                 pending = []
@@ -532,28 +536,29 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
             diagonalize(*(np.concatenate(p) for p in zip(*pending)))
 
     if d == 3:
+        # Within a chunk the sizes are a base plus the popcount of the column;
+        # ordered by popcount, each size is one run for reduceat.
+        order, runs = _popcount_runs(sizes[:cols])
         top = np.full((n_sets, n + 1), -np.inf)
-        for at, start, base, h, c in chunks:
+        for at, start, h, c in chunks:
             lo, hi = _qutrit_extremes(chunk_frames(at, h, c, table, kets, high_frames[:, :, None]))
             own, comp = views(at, start)
             own[:], comp[:] = hi, n_bases - lo[:, ::-1]
-            k = base + np.arange(runs.size)
+            k = sizes[start] + np.arange(runs.size)
             top[at, k] = np.maximum(top[at, k], np.maximum.reduceat(hi[:, order], runs, axis=1))
             top[at, n - k] = np.maximum(top[at, n - k], n_bases - np.minimum.reduceat(lo[:, order], runs, axis=1))
         near = top - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
 
-        def sent():
+        def keep(at, start, h, c):
             # Chunk by chunk again, so no (set, bitmask) array of thresholds is
             # held: a frame goes to eigvalsh when its subset or its complement is near.
-            for at, start, _, _, _ in chunks:
-                own, comp = views(at, start)
-                own_near = near[at][:, sizes[start : start + cols]]
-                comp_near = near[at][:, sizes[full - start - cols + 1 : full - start + 1]]
-                i, j = np.nonzero((own >= own_near) | (comp >= comp_near)[:, ::-1])
-                yield at.start + i, start + j
+            own, comp = views(at, start)
+            own_near = near[at][:, sizes[start : start + cols]]
+            comp_near = near[at][:, sizes[full - start - cols + 1 : full - start + 1]]
+            return (own >= own_near) | (comp >= comp_near)[:, ::-1]
 
     else:
-        owners, frame = _rayleigh_candidates(pools, n_bases, chunks, order, runs)
+        owners, frame = _rayleigh_candidates(pools, n_bases)
         diagonalize(owners, frame)
         floor = np.full((n_sets, n + 1), -np.inf)
         np.maximum.at(floor, (owners, sizes[frame]), lam[owners, frame])
@@ -573,26 +578,16 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
         tests = np.empty((1, 2, d, d, 2, cols))
         diag = np.arange(d)
 
-        def sent():
-            for at, start, _, h, c in chunks:
-                chunk_frames(at, h, c, parts, ket_parts, high_parts, out=tests[..., 1, :])
-                np.negative(tests[..., 1, :], out=tests[..., 0, :])
-                k = sizes[start : start + cols]
-                tests[:, 0, diag, diag, 0] += upper[at][:, None, k]
-                tests[:, 0, diag, diag, 1] -= lower[at][:, None, k]
-                cleared = _cholesky_completes(np.moveaxis(tests, 0, 3)).all(axis=1)
-                # the candidates keep the eigvalsh values they already have
-                mine = (owners >= at.start) & (owners < at.stop) & (frame >= start) & (frame < start + cols)
-                known = np.zeros_like(cleared)
-                known[owners[mine] - at.start, frame[mine] - start] = True
-                cleared &= ~known
-                own, comp = views(at, start)
-                np.copyto(own, -np.inf, where=cleared)
-                np.copyto(comp, -np.inf, where=cleared[:, ::-1])
-                i, j = np.nonzero(~(cleared | known))
-                yield at.start + i, start + j
+        def keep(at, start, h, c):
+            chunk_frames(at, h, c, parts, ket_parts, high_parts, out=tests[..., 1, :])
+            np.negative(tests[..., 1, :], out=tests[..., 0, :])
+            k = sizes[start : start + cols]
+            tests[:, 0, diag, diag, 0] += upper[at][:, None, k]
+            tests[:, 0, diag, diag, 1] -= lower[at][:, None, k]
+            cleared = _cholesky_completes(np.moveaxis(tests, 0, 3)).all(axis=1)
+            return ~cleared & ~np.isfinite(views(at, start)[0])
 
-    gather(sent())
+    gather(keep)
     return lam, sizes
 
 

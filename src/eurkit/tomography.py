@@ -49,8 +49,6 @@ SET1_VECTORS = np.array([_E0, _E1, (_E0 - _E1) / _SQ2, (_E0 - 1j * _E1) / _SQ2])
 SET2_VECTORS = np.array([_E0, _E2, (_E0 - _E2) / _SQ2, (_E0 - 1j * _E2) / _SQ2])
 # Population swap of |0> and |+1> applied before the third set is read out.
 SWAP_0P1 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-# Kets of the original state that the third set effectively probes.
-SET3_EFFECTIVE_VECTORS = SET1_VECTORS @ SWAP_0P1.T
 
 # Bundled experimental reference: reconstructed matrix and its preparation
 # target.  Tabulated to four decimals; spectrum dips to about -3.8e-3.

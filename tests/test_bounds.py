@@ -404,6 +404,25 @@ class TestLmfBound:
             expected = max(lmf_bound(list(perm), rho) for perm in itertools.permutations(ms))
             assert abs(lmf_bound_best_ordering(ms, rho) - expected) < 1e-12
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, MAX_ORDERING_SEARCH),
+        d=st.integers(2, 4),
+        pure=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_best_ordering_relabelling_and_global_unitary_invariance(self, seed, n, d, pure):
+        rng = np.random.default_rng(seed)
+        ms = random_set(rng, d, n)
+        rho = random_density(rng, d, pure=pure)
+        base = lmf_bound_best_ordering(ms, rho)
+        relabelled = [ms[i] for i in rng.permutation(n)]
+        assert abs(lmf_bound_best_ordering(relabelled, rho) - base) < 1e-12
+        u = random_basis(rng, dim=d).basis  # its rows are orthonormal: a unitary
+        turned = [ProjectiveMeasurement(m.basis @ u.T) for m in ms]
+        turned_rho = DensityOperator(u @ rho.matrix @ u.conj().T)
+        assert abs(lmf_bound_best_ordering(turned, turned_rho) - base) < 1e-12
+
     def test_best_ordering_at_half(self):
         assert abs(lmf_bound_best_ordering(build_family(0.5), MINUS1) - 1.0) < BOUND_TOL
 
@@ -792,6 +811,34 @@ class TestCertifiedScreen:
         assert not clears_below(f, w[:, -1] + 0.5 * CERTIFIED_DELTA, np.ones(len(f))).any()
         assert not clears_above(f, w[:, 0] - 0.5 * CERTIFIED_DELTA, np.ones(len(f))).any()
 
+    def test_rayleigh_candidates_reach_each_size_exhaustive_bound(self, rng):
+        def best_bounds(g, n_bases, owners, masks):
+            """Per set and size, the largest Rayleigh bound over the (set, mask)
+            frames: max_i q_i at |S|, N - min_i q_i at n - |S|."""
+            n = g.shape[1]
+            member = (masks[:, None] >> np.arange(n - 1)) & 1
+            q = np.einsum("sij,sj->si", g[owners], member.astype(float))
+            best = np.full((g.shape[0], n + 1), -np.inf)
+            np.maximum.at(best, (owners, member.sum(axis=1)), q.max(axis=1))
+            np.maximum.at(best, (owners, n - member.sum(axis=1)), n_bases - q.min(axis=1))
+            return best
+
+        cases = [[random_set(rng, d, n_bases)] for d, n_bases in ((2, 3), (2, 6), (2, 7), (3, 4), (4, 3), (5, 2))]
+        ms = random_set(rng, 4, 3)
+        cases += [[[ms[0]] * 3], [[ms[0], ms[1], ms[0]]], [random_set(rng, 2, 7), near_orthonormal_set(rng, 2, 7)]]
+        for sets in cases:
+            pools = pools_of(sets)
+            n_sets, n, _ = pools.shape
+            n_bases = len(sets[0])
+            owners, masks = eurkit.bounds._rayleigh_candidates(pools, n_bases)
+            assert np.all((masks >= 0) & (masks < 1 << (n - 1)))
+            assert len(set(zip(owners.tolist(), masks.tolist()))) == owners.size
+            g = np.abs(pools.conj() @ pools[:, :-1].transpose(0, 2, 1)) ** 2
+            every = np.arange(1 << (n - 1))
+            exhaustive = best_bounds(g, n_bases, np.repeat(np.arange(n_sets), every.size), np.tile(every, n_sets))
+            assert np.all(np.isfinite(exhaustive))
+            assert np.all(np.abs(best_bounds(g, n_bases, owners, masks) - exhaustive) <= 1e-12)
+
     def test_confirms_the_subsets_of_the_eigvalsh_screen(self, rng):
         # 18 kets split into 15 low and 2 high kets besides the last
         for d, n_bases in ((2, 7), (2, 8), (4, 4), (5, 3), (7, 2), (2, 9)):
@@ -996,6 +1043,24 @@ def test_raw_array_state_is_diagonalized_once(rng, monkeypatch):
         assert entropy_sum(ms, state) == expected_sum
         assert len(calls) == 1
         monkeypatch.undo()
+
+
+def test_raw_array_entropy_is_diagonalized_once(monkeypatch):
+    # von_neumann_entropy used to admit a raw array and then diagonalize the
+    # admitted matrix again: 2 eigvalsh per scb_bound on a warm set
+    ms = build_family(0.3)
+    state = np.eye(3) / 3
+    expected = scb_bound(ms, DensityOperator(state))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert scb_bound(ms, state) == expected
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
