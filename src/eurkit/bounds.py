@@ -130,7 +130,12 @@ def _evaluate(ms: MeasurementSet, name: str, pieces, rho=None) -> float:
         dim = rho.dim if isinstance(rho, DensityOperator) else len(rho)
         if dim != ms[0].dim:
             raise ValidationError(f"dimension mismatch: measurement dim {ms[0].dim}, state dim {dim}")
-    return max(0.0, max(c + a * s for c, a in kept))
+    return _bound_value(kept, s)
+
+
+def _bound_value(pieces, s: float) -> float:
+    """max(0, max over the pieces (c, a) of c + a s)."""
+    return max(0.0, max(c + a * s for c, a in pieces))
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,17 +168,17 @@ def _cycle_tables(n: int):
 
 
 def _smallest_cycle_products(c: np.ndarray) -> list:
-    """P_2..P_n of the n x n overlap matrix c, by the search of
-    ``_scb_pieces`` over the states of ``_cycle_tables``."""
-    first, tables = _cycle_tables(len(c))
-    flat = c.ravel()
+    """P_2..P_n of the n x n overlap matrix c, or of each matrix of a stack c (g, n, n), by the search of
+    ``_scb_pieces`` over ``_cycle_tables``; the stack is the last axis, so one matrix takes 1-d gathers."""
+    first, tables = _cycle_tables(c.shape[-1])
+    flat = c.reshape(*c.shape[:-2], -1).T
     prods = flat[first]
     products = []
     for step, ends, closing in tables:
         if step is not None:
             pred, edge, starts = step
             prods = np.minimum.reduceat(prods[pred] * flat[edge], starts)
-        products.append((prods[ends] * flat[closing]).min())
+        products.append((prods[ends] * flat[closing]).min(axis=0))
     return products
 
 
@@ -199,11 +204,16 @@ def _scb_pieces(ms: MeasurementSet) -> tuple[tuple[float, float], ...]:
     n = len(ms)
     if n > MAX_SCB_MEASUREMENTS:
         raise CapacityError(f"scb chains limited to {MAX_SCB_MEASUREMENTS} measurements, got {n}")
-    # c[i, j] is overlap_c of bases i < j, mirrored; no cycle reads c[i, i].
-    c = np.minimum(np.triu(ms.squared_overlaps.max(axis=(2, 3)), 1), 1.0)
-    c = c + c.T
-    products = _smallest_cycle_products(c)
-    return ((0.0, float(n)), *((-0.5 * math.log2(p), n - k / 2.0) for k, p in enumerate(products, 2)))
+    return _stacked_scb_pieces(ms.squared_overlaps)[0]
+
+
+def _stacked_scb_pieces(o: np.ndarray) -> list[tuple[tuple[float, float], ...]]:
+    """``_scb_pieces`` of the squared overlaps o[..., N, N, d, d] of a set or of each set of a stack."""
+    n = o.shape[-3]
+    # c[..., i, j] is overlap_c of bases i < j, mirrored; no cycle reads c[i, i].
+    c = np.minimum(np.triu(o.max(axis=(-2, -1)), 1), 1.0)
+    products = np.array(_smallest_cycle_products(c + np.swapaxes(c, -1, -2))).reshape(n - 1, -1).T.tolist()
+    return [((0.0, float(n)), *((-0.5 * math.log2(p), n - k / 2.0) for k, p in enumerate(row, 2))) for row in products]
 
 
 def scb_bound(measurements, rho) -> float:
@@ -219,12 +229,13 @@ def scb_bound(measurements, rho) -> float:
     return _evaluate(ms, "scb", _scb_pieces, rho)
 
 
-def _chain_coefficient(ms: MeasurementSet, order) -> float:
-    o = ms.squared_overlaps
-    v = o[order[0], order[1]].max(axis=0)
+def _chain_coefficient(o: np.ndarray, order) -> np.ndarray:
+    """The lmf chain coefficient of ``order`` for each set's squared overlaps o[g]: stacked
+    matmul (g, 1, d) @ (g, d, d) has the bits of one set's chain, einsum would not."""
+    v = o[:, order[0], order[1]].max(axis=1)
     for i, j in zip(order[1:], order[2:]):
-        v = v @ o[i, j]
-    return float(min(v.max(), 1.0))
+        v = (v[:, None] @ o[:, i, j])[:, 0]
+    return np.minimum(v.max(axis=1), 1.0)
 
 
 def lmf_chain_coefficient(measurements) -> float:
@@ -239,18 +250,18 @@ def lmf_chain_coefficient(measurements) -> float:
     of each basis keeps b <= 1.
     """
     ms = as_measurements(measurements, minimum=2)
-    return _chain_coefficient(ms, range(len(ms)))
+    return float(_chain_coefficient(ms.squared_overlaps[None], range(len(ms)))[0])
 
 
-def _lmf_pieces(ms: MeasurementSet, orders) -> tuple[tuple[float, float], ...]:
-    """The one lmf piece, for the smallest chain coefficient b over ``orders``."""
-    return ((-math.log2(min(_chain_coefficient(ms, order) for order in orders)), len(ms) - 1.0),)
+def _lmf_pieces(b: np.ndarray, n: int) -> list[tuple[tuple[float, float], ...]]:
+    """The one lmf piece (-log2 b, N - 1) of each chain coefficient b of N measurements."""
+    return [((-math.log2(x), n - 1.0),) for x in b.tolist()]
 
 
 def lmf_bound(measurements, rho) -> float:
     """Chained bound (N-1) S(rho) - log2 b; sensitive to measurement order."""
     ms = as_measurements(measurements, minimum=2)
-    return _evaluate(ms, "lmf", lambda ms: _lmf_pieces(ms, [range(len(ms))]), rho)
+    return _evaluate(ms, "lmf", lambda ms: ((-math.log2(lmf_chain_coefficient(ms)), len(ms) - 1.0),), rho)
 
 
 def lmf_bound_best_ordering(measurements, rho) -> float:
@@ -258,12 +269,19 @@ def lmf_bound_best_ordering(measurements, rho) -> float:
 
     The entropy sum is permutation-invariant, so every ordering yields a
     valid bound; the tightest uses the smallest b.  Factorial search,
-    limited to MAX_ORDERING_SEARCH measurements.
+    limited to MAX_ORDERING_SEARCH measurements; each ordering's overlaps
+    are one set of a stack, so one chain takes them all.
     """
     ms = as_measurements(measurements, minimum=2)
-    if len(ms) > MAX_ORDERING_SEARCH:
-        raise CapacityError(f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {len(ms)}")
-    return _evaluate(ms, "lmf_best_ordering", lambda ms: _lmf_pieces(ms, itertools.permutations(range(len(ms)))), rho)
+    n = len(ms)
+    if n > MAX_ORDERING_SEARCH:
+        raise CapacityError(f"ordering search limited to {MAX_ORDERING_SEARCH} measurements, got {n}")
+
+    def pieces(ms):
+        orders = np.array(list(itertools.permutations(range(n))))
+        b = _chain_coefficient(ms.squared_overlaps[orders[:, :, None], orders[:, None]], range(n))
+        return _lmf_pieces(b.min(keepdims=True), n)[0]
+    return _evaluate(ms, "lmf_best_ordering", pieces, rho)
 
 
 @dataclass(frozen=True)
@@ -415,9 +433,9 @@ def _rayleigh_candidates(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, n
     smallest, complement_masks = extreme(ascending, np.inf, np.argmin)
     # at size s = 0..n: the best subset of s kets against the best complement
     # of a subset of n - s kets
-    pick = np.where(subset >= n_bases - smallest[:, ::-1], subset_masks, complement_masks[:, ::-1])
-    keys = np.unique(np.arange(n_sets)[:, None] * (1 << (n - 1)) + pick)
-    return keys >> (n - 1), keys & ((1 << (n - 1)) - 1)
+    pick = np.sort(np.where(subset >= n_bases - smallest[:, ::-1], subset_masks, complement_masks[:, ::-1]), axis=1)
+    fresh = np.diff(pick, axis=1, prepend=-1) != 0
+    return np.nonzero(fresh)[0], pick[fresh]
 
 
 def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,17 +541,18 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
 
     def gather(keep):
         """``diagonalize`` the frames (set, column) where ``keep(at, start,
-        h, c)`` holds, chunk by chunk, as soon as 2^SCREEN_BITS of them are
-        pending."""
+        h, c)`` holds, chunk by chunk, in calls of exactly 2^SCREEN_BITS
+        frames but the last; what is left over waits for the next chunks."""
         pending = []
         for at, start, h, c in chunks:
             i, j = np.nonzero(keep(at, start, h, c))
             pending.append((at.start + i, start + j))
             if sum(owners.size for owners, _ in pending) >= 1 << SCREEN_BITS:
-                diagonalize(*(np.concatenate(p) for p in zip(*pending)))
-                pending = []
-        if pending:
-            diagonalize(*(np.concatenate(p) for p in zip(*pending)))
+                owners, frame = (np.concatenate(p) for p in zip(*pending))
+                cut = owners.size >> SCREEN_BITS << SCREEN_BITS
+                diagonalize(owners[:cut], frame[:cut])
+                pending = [(owners[cut:], frame[cut:])]
+        diagonalize(*(np.concatenate(p) for p in zip(*pending)))
 
     if d == 3:
         # Within a chunk the sizes are a base plus the popcount of the column;

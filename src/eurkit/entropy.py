@@ -30,6 +30,12 @@ def _entropy_of_clamped(values: np.ndarray) -> float:
     return float(-(v * np.log2(v)).sum() + 0.0)
 
 
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    # _entropy_of_clamped of each row, to the bit under 8 entries (numpy regroups longer sums)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -(p * logs).sum(axis=-1) + 0.0
+
+
 def shannon_entropy(probabilities) -> float:
     """H(p) = -sum p log2 p for a probability vector.
 

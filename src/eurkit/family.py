@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rpz_bound is unused here but stays: benchmarks/tracing.py patches it by name.
-from .bounds import lmf_bound, rpz_bound, rpz_profiles, scb_bound  # noqa: F401
-from .entropy import binary_entropy, entropy_sum
+# entropy_sum, scb_bound, lmf_bound, rpz_bound: unused here, kept for benchmarks/tracing.py PATCHES (ROADMAP item 1)
+from .bounds import _bound_value, _chain_coefficient, _lmf_pieces, _stacked_scb_pieces, rpz_profiles
+from .bounds import lmf_bound, rpz_bound, scb_bound  # noqa: F401
+from .entropy import _row_entropies, binary_entropy, entropy_sum, von_neumann_entropy  # noqa: F401
 from .documents import builtin_state
-from .linalg import MeasurementSet, ProjectiveMeasurement, ValidationError, as_measurements
+from .linalg import MeasurementSet, ProjectiveMeasurement, ValidationError, _born_probabilities, as_density_operator
+from .linalg import as_measurements
 
 GRID_POINTS_DEFAULT = 101
 # Grid points whose rpz profiles ``sweep`` stacks into one call: 16 sets of
@@ -82,12 +84,12 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
 
     Grid points are visited in the order given; states are sorted by
     label within each point, one row per (a, state) pair; the default
-    states are the built-in 'zero' and 'minus1'.  The states of a grid
-    point share its set's squared overlaps.  The rpz bound is
-    state-independent: the sets of SWEEP_CHUNK consecutive grid points
-    are built first and their profiles come from one ``rpz_profiles``
-    call, so a bad grid point raises before the states of its chunk are
-    evaluated.
+    states are the built-in 'zero' and 'minus1'.  Each chunk of SWEEP_CHUNK
+    points is a stack of sets, built first, so a bad grid point raises
+    before the states of its chunk are evaluated.  One call each gives the
+    stack's rpz profiles, scb and lmf pieces; each state, admitted once per
+    chunk with ``entropy_sum``'s errors, takes its Born probabilities on all
+    the chunk's bases in one einsum.  Every field has the one-set bits.
     """
     a_values = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if a_values.ndim != 1 or a_values.size == 0:
@@ -99,10 +101,18 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
     for start in range(0, a_values.size, SWEEP_CHUNK):
         chunk = [float(v) for v in a_values[start : start + SWEEP_CHUNK]]
         sets = [build_family(a) for a in chunk]
-        profiles = rpz_profiles(sets)
-        for a, ms, profile in zip(chunk, sets, profiles):
-            rpz = profile.entropy_bound()
-            for label, rho in pairs:
-                total = entropy_sum(ms, rho).total
-                rows.append(SweepRow(a, label, total, scb=scb_bound(ms, rho), lmf=lmf_bound(ms, rho), rpz=rpz))
+        rpz = [profile.entropy_bound() for profile in rpz_profiles(sets)]
+        kets = np.array([m.basis for ms in sets for m in ms]).reshape(-1, 3)
+        o = np.array([ms.squared_overlaps for ms in sets])
+        scb_pieces, lmf_pieces = _stacked_scb_pieces(o), _lmf_pieces(_chain_coefficient(o, range(3)), 3)
+        columns = []
+        for label, rho in pairs:
+            rho = as_density_operator(rho)
+            h = _row_entropies(_born_probabilities(kets, rho.matrix).reshape(-1, 3)).reshape(-1, 3)
+            s = von_neumann_entropy(rho)
+            scb, lmf = ([_bound_value(kept, s) for kept in pieces] for pieces in (scb_pieces, lmf_pieces))
+            # sum() adds the measurements' entropies in entropy_sum's order
+            columns.append((label, sum(h.T).tolist(), scb, lmf))
+        for i, a in enumerate(chunk):
+            rows.extend(SweepRow(a, label, total[i], scb[i], lmf[i], rpz[i]) for label, total, scb, lmf in columns)
     return rows

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import eurkit.bounds
+import eurkit.entropy
+import eurkit.linalg
 from eurkit.bounds import (
     CERTIFIED_DELTA,
     CERTIFIED_KETS,
@@ -1134,3 +1136,99 @@ class TestPieceCache:
         scb_bound(ms, rho)
         lmf_bound(ms, rho)
         lmf_bound_best_ordering(ms, rho)
+
+
+# The one-set kernels before they took a set axis, kept as the oracle of
+# the stacked ones: a set's bits must not depend on the stack it came in.
+def one_set_cycle_products(c):
+    first, tables = eurkit.bounds._cycle_tables(len(c))
+    flat = c.ravel()
+    prods = flat[first]
+    products = []
+    for step, ends, closing in tables:
+        if step is not None:
+            pred, edge, starts = step
+            prods = np.minimum.reduceat(prods[pred] * flat[edge], starts)
+        products.append((prods[ends] * flat[closing]).min())
+    return products
+
+
+def one_set_scb_pieces(ms):
+    n = len(ms)
+    c = np.minimum(np.triu(ms.squared_overlaps.max(axis=(2, 3)), 1), 1.0)
+    products = one_set_cycle_products(c + c.T)
+    return ((0.0, float(n)), *((-0.5 * math.log2(p), n - k / 2.0) for k, p in enumerate(products, 2)))
+
+
+def one_set_chain_coefficient(ms, order):
+    o = ms.squared_overlaps
+    v = o[order[0], order[1]].max(axis=0)
+    for i, j in zip(order[1:], order[2:]):
+        v = v @ o[i, j]
+    return float(min(v.max(), 1.0))
+
+
+def piece_bits(pieces):
+    # float.hex tells -0.0 (the piece of a repeated basis) from 0.0
+    return [tuple((c.hex(), a.hex()) for c, a in kept) for kept in pieces]
+
+
+def random_stack(rng, d, n):
+    """One to five sets of n bases; a quarter of them repeat a basis."""
+    sets = [MeasurementSet(random_set(rng, d, n)) for _ in range(int(rng.integers(1, 6)))]
+    for i, ms in enumerate(sets):
+        if rng.random() < 0.25:
+            sets[i] = MeasurementSet([*ms[:-1], ms[int(rng.integers(0, n - 1))]])
+    return sets, np.array([ms.squared_overlaps for ms in sets])
+
+
+class TestStackedKernels:
+    def test_scb_pieces_match_one_set_search(self, rng):
+        for n in range(2, MAX_SCB_MEASUREMENTS + 1):
+            for d in (2, 3, 4):
+                sets, o = random_stack(rng, d, n)
+                expected = piece_bits(one_set_scb_pieces(ms) for ms in sets)
+                assert piece_bits(eurkit.bounds._stacked_scb_pieces(o)) == expected
+                assert piece_bits(eurkit.bounds._scb_pieces(ms) for ms in sets) == expected
+
+    def test_lmf_chain_matches_one_set_chain(self, rng):
+        for n in range(2, 17):
+            for d in (2, 3, 4):
+                sets, o = random_stack(rng, d, n)
+                for order in (range(n), rng.permutation(n)):
+                    stacked = eurkit.bounds._chain_coefficient(o, order).tolist()
+                    assert stacked == [one_set_chain_coefficient(ms, order) for ms in sets]
+            if n <= MAX_ORDERING_SEARCH:
+                # every ordering of one set as a stack: the best-ordering chain
+                orders = list(itertools.permutations(range(n)))
+                stack = np.array([sets[0].squared_overlaps[np.ix_(order, order)] for order in orders])
+                stacked = eurkit.bounds._chain_coefficient(stack, range(n)).tolist()
+                assert stacked == [one_set_chain_coefficient(sets[0], order) for order in orders]
+
+    def test_born_rows_match_one_basis_einsum(self, rng):
+        # at d = 2 only a stack of one keeps the bits: einsum sums larger ones in another order
+        for d, count in ((2, 1), (3, 1), (3, 48), (4, 17), (5, 5)):
+            bases = [random_basis(rng, dim=d) for _ in range(count)]
+            for rho in (random_density(rng, d), random_density(rng, d, pure=True)):
+                kets = np.concatenate([m.basis for m in bases])
+                rows = eurkit.linalg._born_probabilities(kets, rho.matrix).reshape(count, d)
+                for m, row in zip(bases, rows):
+                    expected = np.einsum("id,de,ie->i", m.basis.conj(), rho.matrix, m.basis).real
+                    assert row.tobytes() == expected.tobytes() == born_probabilities(m, rho).tobytes()
+
+    def test_row_entropies_match_entropy_of_clamped(self, rng):
+        for k in range(1, 8):
+            p = rng.dirichlet(np.ones(k), size=200)
+            edges = rng.random(p.shape) < 0.2
+            p[edges] = rng.choice([0.0, -0.0, -1e-12, 1.0, 1e-300], size=int(edges.sum()))
+            rows = eurkit.entropy._row_entropies(p)
+            assert [h.hex() for h in rows.tolist()] == [eurkit.entropy._entropy_of_clamped(v).hex() for v in p]
+
+    def test_rayleigh_candidates_are_sorted_frames_each_once(self, rng):
+        for d, n_bases in ((2, 7), (4, 4), (5, 3)):
+            sets = [random_set(rng, d, n_bases) for _ in range(3)]
+            sets[1][-1] = sets[1][0]
+            owners, masks = eurkit.bounds._rayleigh_candidates(pools_of(sets), n_bases)
+            keys = owners * (1 << (d * n_bases - 1)) + masks
+            assert owners.tolist() == sorted(owners.tolist()) and set(owners.tolist()) == {0, 1, 2}
+            assert np.all(np.diff(keys) > 0)

@@ -8,6 +8,7 @@ test confirms the module entry point is wired up.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +356,28 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entropy_total"] == 1.0
+
+    def test_sweep_and_certified_rpz_never_import_numpy_ma(self):
+        # numpy.ma costs a CLI process tens of ms on its first import; a
+        # fresh interpreter shows whether any eurkit path pulls it in
+        code = (
+            "import contextlib, io, sys\n"
+            "import numpy as np\n"
+            "from eurkit.bounds import CERTIFIED_KETS, rpz_profile\n"
+            "from eurkit.cli import main\n"
+            "from eurkit.sampling import random_basis\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sweep', '--steps', '11']) == 0\n"
+            "rng = np.random.default_rng(7)\n"
+            "assert 4 * 4 >= CERTIFIED_KETS\n"
+            "rpz_profile([random_basis(rng, dim=4) for _ in range(4)])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 # SHA-256 of stdout, recorded before the bound kernels were rewritten into

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from eurkit.bounds import lmf_bound, rpz_profile, scb_bound
 from eurkit.documents import builtin_state
 from eurkit.entropy import binary_entropy, entropy_sum
 from eurkit.family import (
@@ -15,7 +16,8 @@ from eurkit.family import (
     entropy_total_closed_form,
     sweep,
 )
-from eurkit.linalg import ValidationError, ray_fidelity
+from eurkit.linalg import DensityOperator, ValidationError, ray_fidelity
+from eurkit.sampling import random_density
 
 CURVE_TOL = 1e-9
 
@@ -166,3 +168,56 @@ def test_sweep_stacks_one_rpz_call_per_chunk(monkeypatch):
     monkeypatch.setattr(eurkit.bounds, "rpz_profile", no_profile)
     sweep(np.linspace(0.0, 1.0, 2 * SWEEP_CHUNK + 3))
     assert calls == [SWEEP_CHUNK, SWEEP_CHUNK, 3]
+
+
+REFERENCE_STATES = [("zero", builtin_state("zero")), ("minus1", builtin_state("minus1"))]
+
+
+def sweep_oracle(grid, states):
+    """The sweep point by point, from the one-set calls."""
+    rows = []
+    for a in map(float, grid):
+        ms = build_family(a)
+        rpz = rpz_profile(ms).entropy_bound()
+        for label, rho in sorted(states, key=lambda kv: kv[0]):
+            rows.append(SweepRow(a, label, entropy_sum(ms, rho).total, scb_bound(ms, rho), lmf_bound(ms, rho), rpz))
+    return rows
+
+
+def row_bits(rows):
+    # float.hex tells -0.0 from 0.0 and refuses a field that is not a float
+    return [(r.state_label, *map(float.hex, (r.a, r.entropy_total, r.scb, r.lmf, r.rpz))) for r in rows]
+
+
+class TestSweepMatchesOneSetCalls:
+    @pytest.mark.parametrize("points", [1, 15, 16, 17, 33, GRID_POINTS_DEFAULT])
+    def test_grids_across_chunk_boundaries(self, points):
+        grid = np.linspace(0.0, 1.0, points)
+        assert row_bits(sweep(grid)) == row_bits(sweep_oracle(grid, REFERENCE_STATES))
+
+    def test_custom_states(self, rng):
+        states = [
+            ("pure", random_density(rng, pure=True)),
+            ("mixed", builtin_state("mixed")),
+            ("random mixed", random_density(rng)),
+            ("raw pure", random_density(rng, pure=True).matrix.copy()),
+            ("raw mixed", random_density(rng).matrix.tolist()),
+        ]
+        grid = rng.random(SWEEP_CHUNK + 3)
+        assert row_bits(sweep(grid, states)) == row_bits(sweep_oracle(grid, states))
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (np.eye(2) / 2, "dimension mismatch: measurement dim 3, state dim 2"),
+            (DensityOperator(np.eye(4) / 4), "dimension mismatch: measurement dim 3, state dim 4"),
+            (np.diag([0.5, 0.6, -0.1]), "rho has eigenvalue -1.0000e-01 below the admission window -1e-09"),
+        ],
+    )
+    def test_bad_state_is_refused_as_by_entropy_sum(self, state, message):
+        with pytest.raises(ValidationError) as alone:
+            entropy_sum(build_family(0.0), state)
+        assert str(alone.value) == message
+        with pytest.raises(type(alone.value)) as swept:
+            sweep(np.linspace(0.0, 1.0, SWEEP_CHUNK + 1), [*REFERENCE_STATES, ("z", state)])
+        assert str(swept.value) == message
