@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Report where the rpz profile of one random pool spends its eigensolver work.
+"""Report where the rpz profile of one pool spends its eigensolver work.
 
-Draws N random bases of dimension d from the seed and computes their rpz
-profile once with np.linalg.eigvalsh wrapped to count its calls.  For each
+Draws N random bases of dimension d from the seed, or takes the family set
+(M1, M2, M3(a)) with --family a, and computes their rpz profile once with
+np.linalg.eigvalsh wrapped to count its calls.  For each
 subset size k it prints the number of k-subsets, how many of them got their
 screened value from eigvalsh (their own frame operator or their
 complement's was diagonalized) and how many Gram blocks of size k the
@@ -21,6 +22,7 @@ Which frames reach eigvalsh depends on the pool:
 
     python scripts/rpz_screen_report.py --d 3 --n-bases 6 --seed 0
     python scripts/rpz_screen_report.py --d 4 --n-bases 4 --seed 0
+    python scripts/rpz_screen_report.py --family 0.3
 """
 
 import argparse
@@ -30,7 +32,8 @@ import time
 import numpy as np
 
 from eurkit.bounds import rpz_profile
-from eurkit.linalg import CapacityError
+from eurkit.family import build_family
+from eurkit.linalg import CapacityError, ValidationError
 from eurkit.sampling import random_basis
 
 
@@ -61,17 +64,28 @@ def count_eigvalsh(measurements):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--d", type=int, required=True, help="dimension of each basis")
-    parser.add_argument("--n-bases", type=int, required=True, help="number of random bases pooled")
+    parser.add_argument("--d", type=int, help="dimension of each basis")
+    parser.add_argument("--n-bases", type=int, help="number of random bases pooled")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--family", type=float, metavar="A", help="profile the family set at a = A instead")
     args = parser.parse_args()
-    if args.d < 2:
-        parser.error(f"--d must be at least 2, got {args.d}")
-    if args.n_bases < 1:
-        parser.error(f"--n-bases must be at least 1, got {args.n_bases}")
-    rng = np.random.default_rng(args.seed)
-    ms = [random_basis(rng, dim=args.d, label=f"R{i}") for i in range(args.n_bases)]
-    n = args.d * args.n_bases
+    if args.family is not None:
+        if args.d is not None or args.n_bases is not None:
+            parser.error("--family takes no --d or --n-bases")
+        try:
+            ms = build_family(args.family)
+        except ValidationError as exc:
+            parser.exit(2, f"error: {exc}\n")
+    else:
+        if args.d is None or args.n_bases is None:
+            parser.error("--d and --n-bases are required without --family")
+        if args.d < 2:
+            parser.error(f"--d must be at least 2, got {args.d}")
+        if args.n_bases < 1:
+            parser.error(f"--n-bases must be at least 1, got {args.n_bases}")
+        rng = np.random.default_rng(args.seed)
+        ms = [random_basis(rng, dim=args.d, label=f"R{i}") for i in range(args.n_bases)]
+    n = len(ms) * ms[0].dim
     try:
         frames, blocks = count_eigvalsh(ms)
     except CapacityError as exc:

@@ -74,6 +74,10 @@ MAX_SCREEN_WORK = (1 << 23) * 4**3
 # blocks of size 4, across the sets of the stack.
 SCREEN_BITS = 15
 CONFIRM_ENTRIES = 1 << 19
+# The pick reads the screen in rows of 2^ROW_BITS consecutive bitmasks, one
+# set's whole screen up to n = ROW_BITS kets, through index tables built once
+# per row width (``_popcount_table``).
+ROW_BITS = SCREEN_BITS + 1
 # Qutrit pools of at least CLOSED_FORM_KETS kets are screened in closed form
 # (``_qutrit_extremes``), at most 2^CLOSED_FORM_BITS frames per chunk, and
 # only the frames that can reach a size's maximum go to eigvalsh; the closed
@@ -307,18 +311,36 @@ class MajorizationProfile:
         return max(0.0, _entropy_of_clamped(np.asarray(self.majorizing_vector())))
 
 
-def _popcounts(k: int) -> np.ndarray:
-    """The popcount of each bitmask of k bits, by the subset doubling."""
+@functools.lru_cache(maxsize=None)
+def _popcount_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of a row of the bitmasks 0, 1, ..., 2^k - 1, built once
+    per k <= ROW_BITS and read-only: each bitmask's popcount, by the subset
+    doubling; the stable order that sorts them (int32, so that the tables of
+    every width total 640 kB); where each popcount j's run starts in that
+    order, and its length C(k, j)."""
     sizes = np.zeros(1 << k, dtype=np.uint8)
     for i in range(k):
         np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
-    return sizes
+    order = np.argsort(sizes, kind="stable").astype(np.int32)
+    lengths = np.array([math.comb(k, j) for j in range(k + 1)])
+    starts = np.cumsum(lengths) - lengths
+    for table in (sizes, order, starts, lengths):
+        table.flags.writeable = False
+    return sizes, order, starts, lengths
 
 
-def _ket_frames(v: np.ndarray) -> np.ndarray:
-    """|v><v| of the ket v[s] of each set s, shaped (set, 1, d, d) as
-    ``_subset_frames`` adds it."""
-    return v[:, None, :, None] * v.conj()[:, None, None, :]
+def _popcounts(k: int) -> np.ndarray:
+    """The popcount of each bitmask of k bits: the row table's, read-only, or
+    past ROW_BITS bits each row's popcount plus the row table's."""
+    if k <= ROW_BITS:
+        return _popcount_table(k)[0]
+    return np.add.outer(_popcount_table(k - ROW_BITS)[0], _popcount_table(ROW_BITS)[0]).ravel()
+
+
+def _ket_frames(kets: np.ndarray) -> np.ndarray:
+    """|v><v| of each ket v = kets[..., i, :], shaped (..., i, d, d), in one
+    broadcast product."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +348,10 @@ def _subset_frames(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``kets[s]`` of each set s, indexed by (s, bitmask) with bit i set when
     ket i is in S, and the size |S| of each bitmask."""
     n_sets, k, d = kets.shape
+    ket = _ket_frames(kets)[:, :, None]
     frames = np.zeros((n_sets, 1 << k, d, d), dtype=complex)
     for i in range(k):
-        np.add(frames[:, : 1 << i], _ket_frames(kets[:, i]), out=frames[:, 1 << i : 2 << i])
+        np.add(frames[:, : 1 << i], ket[:, i], frames[:, 1 << i : 2 << i])
     return frames, _popcounts(k)
 
 
@@ -392,13 +415,6 @@ def _cholesky_completes(a: np.ndarray) -> np.ndarray:
                 col = col - np.stack([real, imag])
             np.divide(col, np.sqrt(np.where(pivot > 0.0, pivot, 1.0)), out=a[:, j + 1 :, j])
     return ok
-
-
-def _popcount_runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable order that sorts ``sizes``, the popcounts of the bitmasks
-    0, 1, 2, ..., and where each popcount's run starts in that order."""
-    order = np.argsort(sizes, kind="stable")
-    return order, np.searchsorted(sizes[order], np.arange(int(sizes[-1]) + 1))
 
 
 def _rayleigh_candidates(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, np.ndarray]:
@@ -476,14 +492,15 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     n_sets, n, d = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
-    high_frames = _subset_frames(pools[:, low:half])[0]
     full = (1 << n) - 1
     lam = np.full((n_sets, full + 1), -np.inf)
     sizes = _popcounts(n)
 
     if n < CLOSED_FORM_KETS or (d != 3 and (n < CERTIFIED_KETS or n_bases < 3 or d < 2)):
         low_frames = _subset_frames(pools[:, :low])[0]
-        for h in range(high_frames.shape[1]):
+        if half > low:
+            high_frames = _subset_frames(pools[:, low:half])[0]
+        for h in range(1 << (half - low)):
             # h = 0 is the empty high subset, whose zero frame would add nothing:
             # the sums start from +0.0, so no entry is -0.0.
             w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
@@ -492,13 +509,15 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
             lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
         return lam, sizes
 
+    high_frames = _subset_frames(pools[:, low:half])[0]
     # A low frame of the eigvalsh screen is the table frame of its first
     # ``bits`` kets plus the ket frames of its other low kets, added in
     # ascending order: the subset doubling's sums, to the bit.
     bits = min(half, CLOSED_FORM_BITS)
     cols, rows = 1 << bits, 1 << (CLOSED_FORM_BITS - bits)
     table = _subset_frames(pools[:, :bits])[0]
-    kets = {i: _ket_frames(pools[:, i]) for i in range(bits, low)}
+    ket = _ket_frames(pools[:, bits:low])
+    kets = {i: ket[:, i - bits, None] for i in range(bits, low)}
     # (sets, first bitmask, high subset, first low subset) of each chunk; the
     # sizes of a chunk's bitmasks are sizes[start] plus their columns' popcounts
     chunks = [
@@ -557,7 +576,7 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     if d == 3:
         # Within a chunk the sizes are a base plus the popcount of the column;
         # ordered by popcount, each size is one run for reduceat.
-        order, runs = _popcount_runs(sizes[:cols])
+        _, order, runs, _ = _popcount_table(bits)
         top = np.full((n_sets, n + 1), -np.inf)
         for at, start, h, c in chunks:
             lo, hi = _qutrit_extremes(chunk_frames(at, h, c, table, kets, high_frames[:, :, None]))
@@ -610,54 +629,89 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     return lam, sizes
 
 
+def _picks(lam: np.ndarray, sizes: np.ndarray, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (set, bitmask) pairs of a screen ``lam`` (set, bitmask) whose value
+    lies within the set's ``margin`` of its size's largest: the subsets that
+    the confirmation diagonalizes, sorted by size, and by row, set and
+    bitmask within a size.
+
+    In rows of 2^w consecutive bitmasks, w = min(n, ROW_BITS), a bitmask's
+    size is its row's base plus the popcount of its column.  Gathered into
+    the popcount order of ``_popcount_table(w)``, each size of a row is one
+    run: one reduceat gives the row's per-size maxima, and one comparison
+    against each size's threshold, repeated over its run, its picks.
+    """
+    n_sets = lam.shape[0]
+    n = int(sizes[-1])
+    width = min(n, ROW_BITS)
+    _, order, starts, lengths = _popcount_table(width)
+    rows = lam.reshape(n_sets, -1, 1 << width)
+    bases = sizes[:: 1 << width].tolist()
+    top = np.full((n_sets, n + 1), -np.inf)
+    for r, b in enumerate(bases):
+        ranked = rows[:, r, order]
+        row_top = top[:, b : b + width + 1]
+        np.maximum(row_top, np.maximum.reduceat(ranked, starts, axis=1), out=row_top)
+    threshold = top - margin[:, None]
+    owners, masks = [], []
+    for r, b in enumerate(bases):
+        if len(bases) > 1:  # else the one row is still gathered
+            ranked = rows[:, r, order]
+        owner, at = (ranked >= threshold[:, b : b + width + 1].repeat(lengths, axis=1)).nonzero()
+        owners.append(owner)
+        masks.append(order[at] + (r << width))
+    if n_sets == 1 and len(bases) == 1:
+        # one set's one row is in size order already
+        return owners[0], masks[0]
+    owners, masks = np.concatenate(owners), np.concatenate(masks)
+    by_size = sizes[masks].argsort(kind="stable")
+    return owners[by_size], masks[by_size]
+
+
 def _stack_profiles(pools: np.ndarray, n_bases: int) -> list[MajorizationProfile]:
     """Profiles of a stack of pools (set, ket, component), all screened in
-    one ``_screen`` call and confirmed size by size across the stack."""
+    one ``_screen`` call, picked in one ``_picks`` call and confirmed size by
+    size across the stack: per eigvalsh call one flat gather of Gram blocks,
+    then one per-set maximum of every size."""
     n_sets, n, _ = pools.shape
-    grams = pools.conj() @ pools.transpose(0, 2, 1)
+    conj = pools.conj()
+    grams = conj @ pools.transpose(0, 2, 1)
     grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
-    frames = pools.transpose(0, 2, 1) @ pools.conj()
-    frame_dev = np.max(np.abs(np.linalg.eigvalsh(frames) - n_bases), axis=1)
+    frame_dev = np.abs(np.linalg.eigvalsh(pools.transpose(0, 2, 1) @ conj) - n_bases).max(axis=1)
     margin = ATOL + 2.0 * frame_dev
     lam, sizes = _screen(pools, n_bases, margin)
-    # In rows of 2^b consecutive bitmasks, a bitmask's size is its row's base
-    # plus the popcount of its column: one reduceat per row in popcount order
-    # gives the per-size maxima, then one comparison the picks.  Up to
-    # n = SCREEN_BITS + 1 a row is a set's whole screen.
-    cols = 1 << min(n, SCREEN_BITS + 1)
-    lam = lam.reshape(n_sets, -1, cols)
-    base = sizes[::cols]
-    order, runs = _popcount_runs(sizes[:cols])
-    top = np.full((n_sets, n + 1), -np.inf)
-    for r, b in enumerate(base):
-        k = b + np.arange(runs.size)
-        top[:, k] = np.maximum(top[:, k], np.maximum.reduceat(lam[:, r, order], runs, axis=1))
-    threshold = top - margin[:, None]
-    picked = []
-    for r, b in enumerate(base):
-        owner, col = np.nonzero(lam[:, r] >= threshold[:, b + sizes[:cols]])
-        picked.append((owner, r * cols + col))
-    owners, masks = (np.concatenate(p) for p in zip(*picked))
-    by_size = np.argsort(sizes[masks], kind="stable")
-    owners, masks = owners[by_size], masks[by_size]
-    bounds = np.searchsorted(sizes[masks], np.arange(n + 2))
-    s = np.empty((n_sets, n))
+    owners, masks = _picks(lam, sizes, margin)
+    picked = sizes[masks]
+    bounds = picked.searchsorted(np.arange(n + 2)).tolist()
+    # Per size, ascending, one eigvalsh call per CONFIRM_ENTRIES Gram-block
+    # entries.  One bit pass finds the members of the picks from a call's
+    # first on, up to CONFIRM_ENTRIES / n members or that call's last pick,
+    # and their Gram rows; each call it covers reads one slice of them.
+    ends = picked.cumsum(dtype=np.intp)
+    grams, offsets, tops, passed = grams.reshape(-1), owners * n, np.empty(owners.size), 0
     for size in range(1, n + 1):
-        best = np.full(n_sets, -np.inf)
         chunk = CONFIRM_ENTRIES // size**2
         for c in range(bounds[size], bounds[size + 1], chunk):
-            at = slice(c, min(c + chunk, bounds[size + 1]))
-            bits = (masks[at, None] >> np.arange(n)) & 1
-            subsets = np.nonzero(bits)[1].reshape(-1, size)
-            owner = owners[at]
-            blocks = grams[owner[:, None, None], subsets[:, :, None], subsets[:, None, :]]
-            np.maximum.at(best, owner, np.linalg.eigvalsh(blocks)[:, -1])
-        s[:, size - 1] = best
+            end = min(c + chunk, bounds[size + 1])
+            if end > passed:
+                passed = max(end, int(ends.searchsorted(ends[c] - size + CONFIRM_ENTRIES // n, "right")))
+                window = masks[c:passed].astype("<u4").view(np.uint8).reshape(-1, 4)
+                pick, members = np.unpackbits(window, axis=1, count=n, bitorder="little").nonzero()
+                rows, first = (offsets[c + pick] + members) * n, 0
+            at = slice(first, first + (end - c) * size)
+            first = at.stop
+            # flat indices of the Gram blocks grams[owner, subset, subset]
+            blocks = grams.take(rows[at].reshape(-1, size, 1) + members[at].reshape(-1, 1, size))
+            tops[c:end] = np.linalg.eigvalsh(blocks)[:, -1]
+    s = np.full(n_sets * n, -np.inf)
+    at = slice(bounds[1], None)
+    np.maximum.at(s, offsets[at] + picked[at] - 1, tops[at])
+    s = s.reshape(n_sets, n)
     # Running max removes 1e-16 dips, so each profile is non-decreasing and
     # its increments are >= 0 exactly.
     s = np.maximum.accumulate(s, axis=1)
-    deltas = np.diff(s, axis=1)
-    return [MajorizationProfile(tuple(row.tolist()), tuple(inc.tolist())) for row, inc in zip(s, deltas)]
+    deltas = s[:, 1:] - s[:, :-1]
+    return [MajorizationProfile(tuple(row), tuple(inc)) for row, inc in zip(s.tolist(), deltas.tolist())]
 
 
 def rpz_profiles(sets) -> list[MajorizationProfile]:
@@ -715,7 +769,8 @@ def rpz_profiles(sets) -> list[MajorizationProfile]:
     per_call = max(1, (1 << SCREEN_BITS) >> (n - 1))
     profiles = []
     for start in range(0, len(stack), per_call):
-        pools = np.array([np.concatenate([m.basis for m in ms]) for ms in stack[start : start + per_call]])
+        chunk = stack[start : start + per_call]
+        pools = np.concatenate([m.basis for ms in chunk for m in ms]).reshape(len(chunk), n, d)
         profiles.extend(_stack_profiles(pools, n_bases))
     return profiles
 

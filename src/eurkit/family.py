@@ -20,7 +20,7 @@ from .bounds import lmf_bound, rpz_bound, scb_bound  # noqa: F401
 from .entropy import _row_entropies, binary_entropy, entropy_sum, von_neumann_entropy  # noqa: F401
 from .documents import builtin_state
 from .linalg import MeasurementSet, ProjectiveMeasurement, ValidationError, _born_probabilities, as_density_operator
-from .linalg import as_measurements
+from .linalg import _built_measurement, as_measurements
 
 GRID_POINTS_DEFAULT = 101
 # Grid points whose rpz profiles ``sweep`` stacks into one call: 16 sets of
@@ -39,14 +39,15 @@ def build_family(a: float) -> MeasurementSet:
     """The measurement set (M1, M2, M3(a)) for a in [0, 1], immutable.
 
     M1 and M2 do not depend on a and are admitted once, at import; each
-    call builds M3(a) only.
+    call builds M3(a) only, orthonormal by construction, so it skips
+    admission (``_built_measurement``) with the admitted bits.
     """
     x = float(a)
     if not (math.isfinite(x) and -1e-12 <= x <= 1.0 + 1e-12):
         raise ValidationError(f"family parameter a = {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     b = 1.0 - x
-    m3 = ProjectiveMeasurement(
+    m3 = _built_measurement(
         np.array([np.sqrt(x) * _E0 + np.sqrt(b) * _E1, np.sqrt(b) * _E0 - np.sqrt(x) * _E1, _E2]), "M3"
     )
     return as_measurements((_M1, _M2, m3), minimum=3)

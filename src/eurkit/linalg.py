@@ -16,7 +16,8 @@ Each kind of input is checked once: outside values become arrays only in
 ``as_density_matrix``, ``DensityOperator`` and ``as_density_operator``; the
 last two keep the admitted spectrum; a state eurkit has just built, such
 as tomography's repair, skips the checks in ``_built_density`` with the
-same bits) and measurement lists become a
+same bits, as a basis eurkit has built does in ``_built_measurement``) and
+measurement lists become a
 ``MeasurementSet``, which ``as_measurements`` passes through and which
 computes its overlaps once.  ``hermitian_eigen``, ``matrix_sqrt_psd`` and
 ``ray_fidelity`` check their input and call a kernel (``_gauged_eigh``,
@@ -218,6 +219,19 @@ class ProjectiveMeasurement:
     @classmethod
     def from_vectors(cls, vectors, label: str = "M") -> "ProjectiveMeasurement":
         return cls([as_state_vector(v, name=f"{label}[{i}]") for i, v in enumerate(vectors)], label)
+
+
+def _built_measurement(basis: np.ndarray, label: str) -> ProjectiveMeasurement:
+    """``ProjectiveMeasurement(basis, label)`` of a complex128 basis eurkit
+    has just built orthonormal (such as the family's M3): kept as it is,
+    read-only, without admission's coercion, orthonormality check and copy,
+    which could neither change its bits nor refuse it.  A copy or an
+    unpickled one is admitted through the constructor (``__reduce__``)."""
+    m = object.__new__(ProjectiveMeasurement)
+    basis.flags.writeable = False
+    object.__setattr__(m, "basis", basis)
+    object.__setattr__(m, "label", label)
+    return m
 
 
 class MeasurementSet(tuple):

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +569,34 @@ class TestRpzProfile:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             rpz_profile([])
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 4),
+        n=st.integers(1, 6),
+        repeat=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_and_global_unitary_invariance_property(self, seed, d, n, repeat):
+        # Relabelling (the bases and the kets of each basis reordered) permutes
+        # the pooled Gram matrix, and a global unitary moves it by rounding, so
+        # the profile moves by eigensolver noise only: within 1e-12.  The bound
+        # within 1e-10: its -delta log2 delta terms amplify the noise of the
+        # flat tail's increments.
+        n = min(n, 12 // d)
+        rng = np.random.default_rng(seed)
+        ms = random_set(rng, d, n)
+        if repeat and n > 1:
+            ms[-1] = ms[0]
+        base = rpz_profile(ms)
+        relabelled = [ProjectiveMeasurement(ms[j].basis[rng.permutation(d)], ms[j].label) for j in rng.permutation(n)]
+        u = random_basis(rng, dim=d).basis  # its rows are orthonormal: a unitary
+        turned = [ProjectiveMeasurement(m.basis @ u.T, m.label) for m in ms]
+        for moved in (relabelled, turned):
+            prof = rpz_profile(moved)
+            assert_allclose(prof.s_coeffs, base.s_coeffs, rtol=0.0, atol=1e-12)
+            assert_allclose(prof.deltas, base.deltas, rtol=0.0, atol=1e-12)
+            assert abs(prof.entropy_bound() - base.entropy_bound()) < 1e-10
 
 
 class TestRpzProfiles:
@@ -1232,3 +1263,152 @@ class TestStackedKernels:
             keys = owners * (1 << (d * n_bases - 1)) + masks
             assert owners.tolist() == sorted(owners.tolist()) and set(owners.tolist()) == {0, 1, 2}
             assert np.all(np.diff(keys) > 0)
+
+
+def popcounts_oracle(n):
+    return np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.uint8)
+
+
+def picks_oracle(lam, sizes, margin):
+    """The confirmation's (set, bitmask) picks as ``_stack_profiles`` made
+    them before ``_picks``: per row of 2^(SCREEN_BITS + 1) bitmasks, one
+    sort of the row's popcounts and one reduceat for the per-size maxima,
+    then a comparison against thresholds gathered by each bitmask's size,
+    and a stable sort of all picks by size."""
+    n_sets = lam.shape[0]
+    n = int(sizes[-1])
+    cols = 1 << min(n, eurkit.bounds.SCREEN_BITS + 1)
+    lam = lam.reshape(n_sets, -1, cols)
+    order = np.argsort(sizes[:cols], kind="stable")
+    runs = np.searchsorted(sizes[:cols][order], np.arange(int(sizes[cols - 1]) + 1))
+    top = np.full((n_sets, n + 1), -np.inf)
+    for r, b in enumerate(sizes[::cols]):
+        k = b + np.arange(runs.size)
+        top[:, k] = np.maximum(top[:, k], np.maximum.reduceat(lam[:, r, order], runs, axis=1))
+    threshold = top - margin[:, None]
+    picked = []
+    for r, b in enumerate(sizes[::cols]):
+        owner, col = np.nonzero(lam[:, r] >= threshold[:, b + sizes[:cols]])
+        picked.append((owner, r * cols + col))
+    owners, masks = (np.concatenate(p) for p in zip(*picked))
+    by_size = np.argsort(sizes[masks], kind="stable")
+    return owners[by_size], masks[by_size]
+
+
+def confirm_oracle(pools, owners, masks, sizes):
+    """The profiles (s_coeffs, deltas) from the picks as ``_stack_profiles``
+    confirmed them before its one bit pass: per size and chunk, a bit pass
+    of its own, a three-index gather of the Gram blocks and a per-set max."""
+    n_sets, n, _ = pools.shape
+    grams = pools.conj() @ pools.transpose(0, 2, 1)
+    grams = 0.5 * (grams + grams.conj().transpose(0, 2, 1))
+    bounds = np.searchsorted(sizes[masks], np.arange(n + 2))
+    s = np.empty((n_sets, n))
+    for size in range(1, n + 1):
+        best = np.full(n_sets, -np.inf)
+        chunk = eurkit.bounds.CONFIRM_ENTRIES // size**2
+        for c in range(bounds[size], bounds[size + 1], chunk):
+            at = slice(c, min(c + chunk, bounds[size + 1]))
+            bits = (masks[at, None].astype(np.int64) >> np.arange(n)) & 1
+            subsets = np.nonzero(bits)[1].reshape(-1, size)
+            owner = owners[at]
+            blocks = grams[owner[:, None, None], subsets[:, :, None], subsets[:, None, :]]
+            np.maximum.at(best, owner, np.linalg.eigvalsh(blocks)[:, -1])
+        s[:, size - 1] = best
+    s = np.maximum.accumulate(s, axis=1)
+    return [(tuple(row.tolist()), tuple(np.diff(row).tolist())) for row in s]
+
+
+def stack_profiles_oracle(pools, n_bases):
+    margin = screen_margins(pools, n_bases)
+    lam, sizes = eurkit.bounds._screen(pools, n_bases, margin)
+    return confirm_oracle(pools, *picks_oracle(lam, sizes, margin), sizes)
+
+
+def assert_picks_match_oracle(lam, sizes, margin):
+    owners, masks = eurkit.bounds._picks(lam, sizes, margin)
+    expected_owners, expected_masks = picks_oracle(lam, sizes, margin)
+    assert owners.tolist() == expected_owners.tolist()
+    assert masks.tolist() == expected_masks.tolist()
+
+
+class TestPicksAndConfirmation:
+    def test_picks_of_random_screens(self, rng):
+        # n = 2..18 kets; a stack of one to three sets, a tie-heavy stack (a
+        # repeated basis, copies of one basis) and a mixed-margin stack (an
+        # exact set beside a near-orthonormal one); from n = 17 on a set's
+        # screen is two or more rows
+        def pool(d, n_bases):
+            # a prime n takes n bases of d = 1: one phase each, every subset of a size ties
+            if d > 1:
+                return random_set(rng, d, n_bases)
+            return [ProjectiveMeasurement([[np.exp(2j * np.pi * rng.random())]]) for _ in range(n_bases)]
+
+        for n in range(2, 19):
+            d = next(d for d in (4, 3, 2, 1) if n % d == 0)
+            n_bases = n // d
+            stacks = [[pool(d, n_bases) for _ in range(int(rng.integers(1, 4)))]]
+            if n_bases > 1:
+                repeated = pool(d, n_bases)
+                repeated[-1] = repeated[0]
+                stacks.append([repeated, [repeated[1]] * n_bases])
+                if d > 1:
+                    stacks.append([pool(d, n_bases), near_orthonormal_set(rng, d, n_bases)])
+            for sets in stacks:
+                pools = pools_of(sets)
+                margin = screen_margins(pools, n_bases)
+                assert_picks_match_oracle(*eurkit.bounds._screen(pools, n_bases, margin), margin)
+
+    def test_picks_of_tie_heavy_multi_row_stacks(self, rng):
+        # values on a grid of quarters tie at every size; margins from 0 up
+        for n in (3, 9, 16, 17, 18):
+            sizes = popcounts_oracle(n)
+            assert np.array_equal(eurkit.bounds._popcounts(n), sizes)
+            for grid in (4.0, 2.0**40):
+                lam = np.round(rng.uniform(0.0, 3.0, (3, 1 << n)) * grid) / grid
+                for margin in (np.array([0.0, 1e-9, 0.3]), np.full(3, 1e-9), np.array([0.5, 0.0, 0.0])):
+                    assert_picks_match_oracle(lam, sizes, margin)
+                assert_picks_match_oracle(lam[1:2], sizes, margin[1:2])
+
+    def test_profiles_match_the_per_size_confirmation(self, rng):
+        cases = [[build_family(a) for a in np.linspace(0.0, 1.0, 16)], [build_family(0.3)]]
+        for d, n_bases in ((2, 2), (2, 5), (3, 3), (3, 4), (4, 3), (2, 6)):
+            sets = [random_set(rng, d, n_bases) for _ in range(3)]
+            sets[1][-1] = sets[1][0]
+            cases += [sets, [sets[0]], [sets[2], near_orthonormal_set(rng, d, n_bases), [sets[0][0]] * n_bases]]
+        cases += [[random_set(rng, 4, 4)], [reference_pool(18)[0]], [random_set(rng, 2, 9)]]
+        for sets in cases:
+            pools = pools_of(sets)
+            profiles = eurkit.bounds._stack_profiles(pools, len(sets[0]))
+            assert [(p.s_coeffs, p.deltas) for p in profiles] == stack_profiles_oracle(pools, len(sets[0]))
+
+    def test_popcount_tables_are_small_read_only_and_exact(self):
+        tables = [eurkit.bounds._popcount_table(k) for k in range(eurkit.bounds.ROW_BITS + 1)]
+        assert sum(t.nbytes for kept in tables for t in kept) <= 1 << 20
+        for k, (sizes, order, starts, lengths) in enumerate(tables):
+            assert not any(t.flags.writeable for t in (sizes, order, starts, lengths))
+            expected = popcounts_oracle(k)
+            assert np.array_equal(sizes, expected)
+            assert np.array_equal(order, np.argsort(expected, kind="stable"))
+            assert np.array_equal(starts, np.searchsorted(expected[order], np.arange(k + 1)))
+            assert lengths.tolist() == [math.comb(k, j) for j in range(k + 1)]
+
+
+def test_import_builds_no_table():
+    # The benchmark's setup_s counts a fresh ``import eurkit``: no
+    # lru_cache table builder may run there.
+    code = (
+        "import json, sys\n"
+        "import eurkit\n"
+        "caches = {f'{name}.{key}': value.cache_info().currsize\n"
+        "          for name, module in list(sys.modules.items()) if name.startswith('eurkit')\n"
+        "          for key, value in vars(module).items() if hasattr(value, 'cache_info')}\n"
+        "print(json.dumps(caches))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    caches = json.loads(proc.stdout)
+    assert {"eurkit.bounds._cycle_tables", "eurkit.bounds._popcount_table"} <= set(caches)
+    assert caches == dict.fromkeys(caches, 0)

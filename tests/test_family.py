@@ -1,3 +1,6 @@
+import copy as copy_module
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from eurkit.family import (
     entropy_total_closed_form,
     sweep,
 )
-from eurkit.linalg import DensityOperator, ValidationError, ray_fidelity
+from eurkit.linalg import DensityOperator, ProjectiveMeasurement, ValidationError, ray_fidelity
 from eurkit.sampling import random_density
 
 CURVE_TOL = 1e-9
@@ -47,6 +50,33 @@ class TestBuildFamily:
     def test_tolerates_representation_noise_at_endpoints(self):
         build_family(-1e-13)
         build_family(1.0 + 1e-13)
+
+    def test_m3_skips_admission_with_the_admitted_bits(self):
+        # M3 is built orthonormal, so it is kept without admission's checks
+        # and copy; its bits, read-only flag and label are the admitted ones
+        for a in (0.0, 1e-12, 0.25, 0.5, 0.7, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, -1e-12):
+            m3 = build_family(a)[2]
+            admitted = ProjectiveMeasurement(m3.basis, "M3")
+            assert m3.basis.dtype == admitted.basis.dtype and m3.basis.tobytes() == admitted.basis.tobytes()
+            assert np.array_equal(m3.basis, admitted.basis)
+            assert m3.label == "M3" and not m3.basis.flags.writeable
+
+    def test_m3_is_built_without_admission_and_copies_are_admitted(self, monkeypatch):
+        m3 = build_family(0.3)[2]
+        admitted = []
+        post_init = ProjectiveMeasurement.__post_init__
+
+        def counting(self):
+            admitted.append(self.label)
+            post_init(self)
+
+        monkeypatch.setattr(ProjectiveMeasurement, "__post_init__", counting)
+        build_family(0.4)
+        assert admitted == []
+        for copy in (pickle.loads(pickle.dumps(m3)), copy_module.deepcopy(m3)):
+            assert copy.label == "M3" and not copy.basis.flags.writeable
+            assert copy.basis.tobytes() == m3.basis.tobytes()
+        assert admitted == ["M3", "M3"]
 
 
 class TestReferenceStates:

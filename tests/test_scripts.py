@@ -75,6 +75,23 @@ def test_rpz_screen_report_certified_pool():
     assert sent < 2000
 
 
+def test_rpz_screen_report_family_set():
+    # 9 family kets: every frame goes to eigvalsh, and every subset of 7 or
+    # more kets ties at the frame bound 3, so the confirmation takes them all
+    rows, frames = report_rows(run_script("rpz_screen_report.py", "--family", "0.3"))
+    assert [row[:3] for row in rows] == [[k, math.comb(9, k), math.comb(9, k)] for k in range(1, 10)]
+    assert [row[3] for row in rows[6:]] == [36, 9, 1]
+    assert all(1 <= confirmed <= subsets for _, subsets, _, confirmed in rows)
+    assert frames == "frames sent to eigvalsh: 256 of 256"
+
+
+def test_rpz_screen_report_refuses_bad_family_arguments():
+    for args in (("--family", "2"), ("--family", "nan"), ("--family", "0.3", "--d", "3"), ("--d", "3")):
+        proc = run_script("rpz_screen_report.py", *args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and "error: " in proc.stderr and "Traceback" not in proc.stderr, args
+
+
 def test_rpz_screen_report_refuses_bad_arguments():
     for args in (("--d", "1", "--n-bases", "3"), ("--d", "3", "--n-bases", "0"), ("--d", "3", "--n-bases", "9")):
         proc = run_script("rpz_screen_report.py", *args)
