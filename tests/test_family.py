@@ -1,5 +1,14 @@
 import copy as copy_module
+import errno
+import functools
+import hashlib
+import json
+import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +260,248 @@ class TestSweepMatchesOneSetCalls:
         with pytest.raises(type(alone.value)) as swept:
             sweep(np.linspace(0.0, 1.0, SWEEP_CHUNK + 1), [*REFERENCE_STATES, ("z", state)])
         assert str(swept.value) == message
+
+
+def assert_no_child_left():
+    # a sweep reaps every child it forks, on success and on error alike
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the fixture is active."""
+    pids = []
+    real_fork = os.fork
+
+    def counting():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def refuse_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_oracle_bits(points):
+    return row_bits(sweep_oracle(np.linspace(0.0, 1.0, points), REFERENCE_STATES))
+
+
+class TestForkedSweep:
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("points", [49, 64, 1001])
+    def test_rows_match_one_set_calls_for_any_worker_count(self, monkeypatch, forks, cpus, points):
+        usable_cpus(monkeypatch, cpus)
+        chunks = -(-points // SWEEP_CHUNK)
+        assert row_bits(sweep(np.linspace(0.0, 1.0, points))) == reference_oracle_bits(points)
+        assert len(forks) == min(cpus, chunks // 2) - 1 >= 1
+        assert_no_child_left()
+
+    def test_custom_states(self, monkeypatch, forks, rng):
+        usable_cpus(monkeypatch, 4)
+        states = [
+            ("pure", random_density(rng, pure=True)),
+            ("mixed", builtin_state("mixed")),
+            ("random mixed", random_density(rng)),
+            ("raw pure", random_density(rng, pure=True).matrix.copy()),
+            ("raw mixed", random_density(rng).matrix.tolist()),
+        ]
+        grid = rng.random(4 * SWEEP_CHUNK + 3)
+        assert row_bits(sweep(grid, states)) == row_bits(sweep_oracle(grid, states))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_one_cpu_stays_in_one_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+        refuse_fork(monkeypatch)
+        assert row_bits(sweep(np.linspace(0.0, 1.0, 49))) == reference_oracle_bits(49)
+
+    def test_three_chunks_stay_in_one_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 4)
+        refuse_fork(monkeypatch)
+        sweep(np.linspace(0.0, 1.0, 3 * SWEEP_CHUNK))
+
+    def test_no_fork_function_stays_in_one_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert row_bits(sweep(np.linspace(0.0, 1.0, 49))) == reference_oracle_bits(49)
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch):
+        usable_cpus(monkeypatch, 4)
+        attempts = []
+
+        def failing():
+            attempts.append(1)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        assert row_bits(sweep(np.linspace(0.0, 1.0, 64))) == reference_oracle_bits(64)
+        assert attempts == [1]
+        assert_no_child_left()
+
+    def test_live_thread_stays_in_one_process(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        refuse_fork(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rows = sweep(np.linspace(0.0, 1.0, 49))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert row_bits(rows) == reference_oracle_bits(49)
+
+    @pytest.mark.parametrize("cpus, forked", [(None, 0), (1, 0), (2, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, forks, cpus, forked):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sweep(np.linspace(0.0, 1.0, 49))
+        assert len(forks) == forked
+        assert_no_child_left()
+
+
+class TestForkedSweepErrors:
+    def test_bad_point_in_a_child_block(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 2)
+        grid = [*np.linspace(0.0, 1.0, 4 * SWEEP_CHUNK), 1.4]
+        with pytest.raises(ValidationError) as swept:
+            sweep(grid)
+        assert_no_child_left()
+        with pytest.raises(ValidationError) as alone:
+            build_family(1.4)
+        assert type(swept.value) is type(alone.value) and str(swept.value) == str(alone.value)
+        assert len(forks) == 1
+
+    def test_first_error_in_grid_order(self, monkeypatch, forks):
+        usable_cpus(monkeypatch, 4)
+        grid = list(np.linspace(0.0, 1.0, 8 * SWEEP_CHUNK))
+        # 4 blocks of 2 chunks: bad points in the third, second and first child's
+        grid[-1], grid[5 * SWEEP_CHUNK], grid[3 * SWEEP_CHUNK] = 1.7, 1.6, 1.5
+        with pytest.raises(ValidationError, match="1.5 outside"):
+            sweep(grid)
+        assert_no_child_left()
+        grid[0] = -0.5  # the parent's own block comes first
+        with pytest.raises(ValidationError, match="-0.5 outside"):
+            sweep(grid)
+        assert_no_child_left()
+        assert len(forks) == 6
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (np.eye(2) / 2, "dimension mismatch: measurement dim 3, state dim 2"),
+            (np.diag([0.5, 0.6, -0.1]), "rho has eigenvalue -1.0000e-01 below the admission window -1e-09"),
+        ],
+    )
+    def test_bad_state_is_refused_as_by_entropy_sum(self, monkeypatch, forks, state, message):
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(ValidationError) as alone:
+            entropy_sum(build_family(0.0), state)
+        with pytest.raises(type(alone.value)) as swept:
+            sweep(np.linspace(0.0, 1.0, 101), [*REFERENCE_STATES, ("z", state)])
+        assert_no_child_left()
+        assert str(swept.value) == str(alone.value) == message
+        assert len(forks) == 1
+
+    def test_interrupt_in_the_parent_block_kills_and_reaps_children(self, monkeypatch, forks):
+        import eurkit.family
+
+        usable_cpus(monkeypatch, 4)
+        parent, rows = os.getpid(), eurkit.family._sweep_rows
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return rows(*args)
+
+        monkeypatch.setattr(eurkit.family, "_sweep_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(np.linspace(0.0, 1.0, 1001))
+        assert_no_child_left()
+        assert len(forks) == 3
+
+    def test_child_that_dies_without_rows(self, monkeypatch, forks):
+        import eurkit.family
+
+        usable_cpus(monkeypatch, 2)
+        parent, rows = os.getpid(), eurkit.family._sweep_rows
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rows(*args)
+
+        monkeypatch.setattr(eurkit.family, "_sweep_rows", dying)
+        with pytest.raises(RuntimeError, match="ended without its rows"):
+            sweep(np.linspace(0.0, 1.0, 64))
+        assert_no_child_left()
+        assert len(forks) == 1
+
+    def test_unpicklable_child_error_is_sent_as_text(self, monkeypatch, forks):
+        import eurkit.family
+
+        usable_cpus(monkeypatch, 2)
+        parent, rows = os.getpid(), eurkit.family._sweep_rows
+
+        def unpicklable(*args):
+            if os.getpid() != parent:
+                error = ValueError("no rows")
+                error.hook = lambda: None
+                raise error
+            return rows(*args)
+
+        monkeypatch.setattr(eurkit.family, "_sweep_rows", unpicklable)
+        with pytest.raises(RuntimeError, match=r"sweep worker raised ValueError\('no rows'\)"):
+            sweep(np.linspace(0.0, 1.0, 64))
+        assert_no_child_left()
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter with stdout piped and block
+    buffered; its stdout."""
+    src = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, src)))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+# The children must not flush the parent's stdout buffer, which holds the
+# marker while they run; two usable CPUs make the sweep fork on any host.
+FORKING_PRELUDE = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+def test_children_never_flush_the_parents_stdout():
+    code = FORKING_PRELUDE + (
+        "import numpy as np\n"
+        "from eurkit.family import sweep\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('marker')\n"
+        "rows = sweep(np.linspace(0.0, 1.0, 1001))\n"
+        "print(len(rows), len(forks))\n"
+    )
+    assert run_python(code) == b"marker\n2002 1\n"
+
+
+def test_cli_sweep_1001_matches_benchmark_reference():
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["sweep_csv_sha256"]
+    code = FORKING_PRELUDE + "from eurkit.cli import main\nraise SystemExit(main(['sweep', '--steps', '1001']))\n"
+    assert hashlib.sha256(run_python(code)).hexdigest() == expected
