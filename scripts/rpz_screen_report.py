@@ -10,15 +10,18 @@ complement's was diagonalized) and how many Gram blocks of size k the
 confirmation diagonalized.  Then it prints how many frame operators went to
 eigvalsh and the time of a second, uncounted computation of the profile.
 
-Which frames reach eigvalsh depends on the pool:
+Every pool goes through one screen pipeline, and its prefilter decides
+which frames reach eigvalsh:
 
-- below 12 kets, every frame (2^(n-1) of them);
-- qutrit pools of 12 kets or more, the frames that a closed form puts near a
-  size's maximum;
-- other pools of at least three bases and 13 kets or more, one candidate
-  frame per subset size, then every frame whose Cholesky certificate fails,
-  that is, every frame that may lie within the margin of a size's maximum
-  (on the 16-ket pool of four random d = 4 bases, about 800 of 32 768).
+- no prefilter (below 12 kets, and pools of one or two bases): every frame,
+  2^(n-1) of them;
+- the closed form (qutrit pools of 12 kets or more): the frames that it puts
+  near a size's maximum;
+- the certificate (other pools of at least three bases and 13 kets or
+  more): one candidate frame per subset size, then every frame whose
+  Cholesky certificate fails, that is, every frame that may lie within the
+  margin of a size's maximum (on the 16-ket pool of four random d = 4
+  bases, about 800 of 32 768).
 
     python scripts/rpz_screen_report.py --d 3 --n-bases 6 --seed 0
     python scripts/rpz_screen_report.py --d 4 --n-bases 4 --seed 0

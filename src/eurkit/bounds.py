@@ -19,16 +19,18 @@ kept there; an evaluation then costs one entropy (``_evaluate``).  scb and
 lmf read the set's squared overlaps: scb finds its smallest cyclic products
 by a bitmask dynamic programme, to the bits of a search over every cycle,
 and lmf_best tries every ordering.  Each rpz subset is screened on its
-d x d frame operator, and only the near-maximal ones are confirmed on their
-Gram blocks, for a stack of sets at once (``rpz_profiles``).  Larger pools
-first clear the frames that provably lie below their sizes' maxima, and
-only the others go to eigvalsh: qutrit pools of 12 kets or more by a closed
-form with a proven error bound, other pools of three or more bases and 13
-kets or more by a Cholesky certificate (Rump, BIT 46, 433 (2006)) against
-thresholds from one candidate frame per size, found by one sort of each
-ket's overlaps.  One loop sends the frames that a prefilter keeps to
-eigvalsh.  The confirmed subsets stay those of the eigvalsh-only screen.
-All three searches are capped, never heuristic.
+d x d frame operator, and only the near-maximal ones are confirmed on
+their Gram blocks, for a stack of sets at once (``rpz_profiles``).  The
+screen is one pipeline (``_screen``): every pool's frames are built in
+chunks from one table of subset frames, and every per-size maximum comes
+from ``_size_maxima``.  Its only per-pool choice is the prefilter that
+decides which frames eigvalsh sees: none below 12 kets (13 for d != 3)
+and for pools of one or two bases or d = 1; a closed form with a proven
+error bound for larger qutrit pools; a Cholesky certificate (Rump, BIT 46,
+433 (2006)) against thresholds from one candidate frame per size for
+other pools of 13 kets or more.  A prefilter clears only frames that the
+confirmation cannot pick, so the confirmed subsets stay those of the
+eigvalsh-only screen.  All three searches are capped, never heuristic.
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ MAX_SCREEN_WORK = (1 << 23) * 4**3
 # blocks of size 4, across the sets of the stack.
 SCREEN_BITS = 15
 CONFIRM_ENTRIES = 1 << 19
-# The pick reads the screen in rows of 2^ROW_BITS consecutive bitmasks, one
-# set's whole screen up to n = ROW_BITS kets, through index tables built once
-# per row width (``_popcount_table``).
+# The per-size maxima (``_size_maxima``) and the pick read the screen in rows
+# of 2^ROW_BITS consecutive bitmasks, one set's whole screen up to n =
+# ROW_BITS kets, through index tables built once per row width
+# (``_popcount_table``).
 ROW_BITS = SCREEN_BITS + 1
 # Qutrit pools of at least CLOSED_FORM_KETS kets are screened in closed form
 # (``_qutrit_extremes``), at most 2^CLOSED_FORM_BITS frames per chunk, and
@@ -454,94 +457,111 @@ def _rayleigh_candidates(pools: np.ndarray, n_bases: int) -> tuple[np.ndarray, n
     return np.nonzero(fresh)[0], pick[fresh]
 
 
+def _eigvalsh_extremes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each Hermitian matrix of ``f``, from one eigvalsh call."""
+    w = np.linalg.eigvalsh(f)
+    return w[..., 0], w[..., -1]
+
+
 def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest frame-operator eigenvalue of every subset of each pool,
     indexed (set, bitmask), and the size (popcount) of each bitmask.
 
-    Only the subsets without the last ket are diagonalized, one eigvalsh
-    call per value of the high bits; complete bases sum to N * 1, so the
-    complement of S gets lambda_max = N - lambda_min(F_S).
+    One pipeline screens every pool.  Only the subsets S without the last
+    ket are built; complete bases sum to N * 1, so the complement of S gets
+    lambda_max = N - lambda_min(F_S).  Of those kets the first SCREEN_BITS
+    are low and the others high.  The frames come in chunks, each from a
+    table of the subset frames of the first ``bits`` kets, plus the frames
+    of the chunk's other low kets and of its high subset, added in
+    ascending order as the subset doubling of the eigvalsh-only screen adds
+    them, so every frame has that screen's bits.
+    ``_size_maxima`` takes every per-size maximum.
 
-    Larger pools are prefiltered in chunks of at most 2^CLOSED_FORM_BITS
-    frames, each built from one table of frames as the eigvalsh screen
-    builds it, to the bit: a frame is cleared when its subset and its
-    complement both lie provably more than ``margin`` below their sizes'
-    eigvalsh maxima.  One loop asks the prefilter, chunk by chunk, which
-    frames to keep, and sends only those to eigvalsh, gathered into calls
-    of at most 2^SCREEN_BITS.  So every subset that the confirmation of
-    ``_stack_profiles`` would pick, the size's maximum among them, gets its
-    eigvalsh value, every other subset a value below the confirmation
-    threshold, and the confirmed subsets are those of the eigvalsh-only
-    screen.  The two prefilters differ only in how they clear a frame:
+    The only per-pool choice is the prefilter, which decides which frames
+    eigvalsh must see:
 
-    - Qutrit pools of at least CLOSED_FORM_KETS kets take both extremes of
-      every frame from ``_qutrit_extremes``, which errs by at most
-      eps = CLOSED_FORM_EPS * N, and keep the frames whose subset or
-      complement lies within ``margin`` + 2 eps of its size's closed-form
-      maximum; the others keep their closed-form values.
-    - Other pools of at least CERTIFIED_KETS kets first diagonalize the
-      frames of ``_rayleigh_candidates``; per set and size k, the largest
-      of their eigvalsh values is T'_k, at most the size's maximum.  A
-      frame is cleared, and its two values stay -inf, when the Cholesky
-      factorizations of (T'_|S| - margin - delta) 1 - F_S and
+    - None, below CLOSED_FORM_KETS kets (CERTIFIED_KETS for d != 3), and
+      for pools of one or two bases or of d = 1: a chunk is the whole stack's low subsets with one high
+      subset, and one eigvalsh call, so the screen is the eigvalsh-only
+      one call for call.
+    - The closed form, for qutrit pools, in chunks of 2^CLOSED_FORM_BITS
+      frames: ``_qutrit_extremes`` fills every value, erring by at most
+      eps = CLOSED_FORM_EPS * N, and a frame goes to eigvalsh when its
+      subset or its complement lies within ``margin`` + 2 eps of its
+      size's closed-form maximum.
+    - The certificate, for other pools of at least CERTIFIED_KETS kets, in
+      the same chunks: the frames of ``_rayleigh_candidates`` go to
+      eigvalsh first, and the largest of their values at size k is T'_k,
+      at most the size's maximum.  A frame goes to eigvalsh unless the
+      Cholesky factorizations of (T'_|S| - margin - delta) 1 - F_S and
       F_S - (N - T'_(n-|S|) + margin + delta) 1 both complete
-      (``_cholesky_completes``); delta = CERTIFIED_DELTA * N covers the
-      factorization's rounding and eigvalsh's.  The candidates, a chunk's
-      only finite values when it is reached, are not sent again.
+      (``_cholesky_completes``); delta = CERTIFIED_DELTA * N covers their
+      rounding and eigvalsh's.  A cleared frame's two values stay -inf.
+
+    One loop, ``gather``, sends the frames that a prefilter keeps to
+    eigvalsh, in calls of 2^SCREEN_BITS frames but the last.  A frame that
+    a prefilter clears lies more than ``margin`` below its size's eigvalsh
+    maximum on both sides, so every subset that the confirmation of
+    ``_stack_profiles`` picks gets its eigvalsh value, and the confirmed
+    subsets are those of the eigvalsh-only screen.
     """
     n_sets, n, d = pools.shape
     half = n - 1
     low = min(half, SCREEN_BITS)
     full = (1 << n) - 1
-    lam = np.full((n_sets, full + 1), -np.inf)
+    # every value is written but those that the certificate clears
+    lam = np.empty((n_sets, full + 1))
     sizes = _popcounts(n)
-
-    if n < CLOSED_FORM_KETS or (d != 3 and (n < CERTIFIED_KETS or n_bases < 3 or d < 2)):
-        low_frames = _subset_frames(pools[:, :low])[0]
-        if half > low:
-            high_frames = _subset_frames(pools[:, low:half])[0]
-        for h in range(1 << (half - low)):
-            # h = 0 is the empty high subset, whose zero frame would add nothing:
-            # the sums start from +0.0, so no entry is -0.0.
-            w = np.linalg.eigvalsh(low_frames + high_frames[:, h, None] if h else low_frames)
-            start, stop = h << low, (h + 1) << low
-            lam[:, start:stop] = w[..., -1]
-            lam[:, full - stop + 1 : full - start + 1] = n_bases - w[:, ::-1, 0]
-        return lam, sizes
-
-    high_frames = _subset_frames(pools[:, low:half])[0]
-    # A low frame of the eigvalsh screen is the table frame of its first
-    # ``bits`` kets plus the ket frames of its other low kets, added in
-    # ascending order: the subset doubling's sums, to the bit.
-    bits = min(half, CLOSED_FORM_BITS)
-    cols, rows = 1 << bits, 1 << (CLOSED_FORM_BITS - bits)
+    prefiltered = n >= CLOSED_FORM_KETS and (d == 3 or (n >= CERTIFIED_KETS and n_bases >= 3 and d >= 2))
+    if prefiltered:
+        bits = min(half, CLOSED_FORM_BITS)
+        rows = 1 << (CLOSED_FORM_BITS - bits)
+    else:
+        # the whole stack's low subsets, as the eigvalsh-only screen takes them
+        bits, rows = low, n_sets
+    cols = 1 << bits
     table = _subset_frames(pools[:, :bits])[0]
-    ket = _ket_frames(pools[:, bits:low])
-    kets = {i: ket[:, i - bits, None] for i in range(bits, low)}
-    # (sets, first bitmask, high subset, first low subset) of each chunk; the
-    # sizes of a chunk's bitmasks are sizes[start] plus their columns' popcounts
-    chunks = [
-        (slice(s, s + rows), (h << low) + c, h, c)
-        for h, s, c in itertools.product(range(high_frames.shape[1]), range(0, n_sets, rows), range(0, 1 << low, cols))
-    ]
+    kets = {}
+    for i in range(bits, low):
+        kets[i] = _ket_frames(pools[:, i, None])
+    # the zero frame of the empty high subset is never added: the sums start
+    # from +0.0, so adding it would change no bit
+    high = _subset_frames(pools[:, low:half])[0][:, :, None] if half > low else None
+    # Each chunk, set by set in bitmask order: its sets, its first bitmask,
+    # and the indices in lam of its subsets and, in the same order, of their
+    # complements (full - start >= cols, so no stop is -1).
+    chunks = []
+    for s in range(0, n_sets, rows):
+        at = slice(s, s + rows)
+        for start in range(0, 1 << half, cols):
+            chunks.append((at, start, (at, slice(start, start + cols)), (at, slice(full - start, full - start - cols, -1))))
 
-    def chunk_frames(at, h, c, table, kets, high, out=None):
-        """A chunk's frames from a table, its ket frames and the high-subset
-        frames ``high[set, h]``, all in one layout; into ``out`` if given."""
-        terms = [kets[i][at] for i in kets if c >> i & 1] + ([high[at, h]] if h else [])
-        if not terms:
-            if out is None:
-                return table[at]
-            out[...] = table[at]
-            return out
-        f = np.add(table[at], terms[0], out=out)
-        for term in terms[1:]:
+    def chunk_frames(at, start, table, kets, high, out=None):
+        """A chunk's frames: its sets' table frames, plus the frames of its
+        other low kets and of its high subset, in ascending order, from
+        tables of one layout; into ``out`` if given."""
+        terms = [kets[i][at] for i in kets if start >> i & 1]
+        if start >> low:
+            terms.append(high[at, start >> low])
+        f = table[at]
+        if out is not None:
+            out[...] = f
+            f = out
+        elif terms:
+            # a new array first: the sums must not land in the table
+            f = f + terms.pop(0)
+        for term in terms:
             f += term
         return f
 
-    def views(at, start):
-        """lam of a chunk's subsets, and of their complements in reverse order."""
-        return lam[at, start : start + cols], lam[at, full - start - cols + 1 : full - start + 1]
+    if d == 3 or not prefiltered:
+        extremes = _qutrit_extremes if prefiltered else _eigvalsh_extremes
+        for at, start, own, comp in chunks:
+            lo, hi = extremes(chunk_frames(at, start, table, kets, high))
+            lam[own] = hi
+            np.subtract(n_bases, lo, out=lam[comp])
+        if not prefiltered:
+            return lam, sizes
 
     def diagonalize(owners, frame):
         """Store the eigvalsh values of the frames (set, bitmask): lambda_max
@@ -553,18 +573,19 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
             for i in kets:
                 on = (m >> i & 1).astype(bool)
                 f[on] += kets[i][o[on], 0]
-            # the zero frame of an empty high subset adds nothing, as above
-            w = np.linalg.eigvalsh(f + high_frames[o, m >> low])
-            lam[o, m] = w[:, -1]
-            lam[o, full - m] = n_bases - w[:, 0]
+            if high is not None:
+                f += high[o, m >> low, 0]
+            lo, hi = _eigvalsh_extremes(f)
+            lam[o, m], lam[o, full - m] = hi, n_bases - lo
 
     def gather(keep):
-        """``diagonalize`` the frames (set, column) where ``keep(at, start,
-        h, c)`` holds, chunk by chunk, in calls of exactly 2^SCREEN_BITS
-        frames but the last; what is left over waits for the next chunks."""
+        """``diagonalize`` the frames (set, column) of each chunk where
+        ``keep(chunk)`` holds, chunk by chunk, in calls of exactly
+        2^SCREEN_BITS frames but the last; what is left over waits for the
+        next chunks."""
         pending = []
-        for at, start, h, c in chunks:
-            i, j = np.nonzero(keep(at, start, h, c))
+        for at, start, own, comp in chunks:
+            i, j = np.nonzero(keep(at, start, own, comp))
             pending.append((at.start + i, start + j))
             if sum(owners.size for owners, _ in pending) >= 1 << SCREEN_BITS:
                 owners, frame = (np.concatenate(p) for p in zip(*pending))
@@ -574,93 +595,92 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
         diagonalize(*(np.concatenate(p) for p in zip(*pending)))
 
     if d == 3:
-        # Within a chunk the sizes are a base plus the popcount of the column;
-        # ordered by popcount, each size is one run for reduceat.
-        _, order, runs, _ = _popcount_table(bits)
-        top = np.full((n_sets, n + 1), -np.inf)
-        for at, start, h, c in chunks:
-            lo, hi = _qutrit_extremes(chunk_frames(at, h, c, table, kets, high_frames[:, :, None]))
-            own, comp = views(at, start)
-            own[:], comp[:] = hi, n_bases - lo[:, ::-1]
-            k = sizes[start] + np.arange(runs.size)
-            top[at, k] = np.maximum(top[at, k], np.maximum.reduceat(hi[:, order], runs, axis=1))
-            top[at, n - k] = np.maximum(top[at, n - k], n_bases - np.minimum.reduceat(lo[:, order], runs, axis=1))
-        near = top - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
+        near = _size_maxima(lam, sizes) - (margin + 2.0 * CLOSED_FORM_EPS * n_bases)[:, None]
 
-        def keep(at, start, h, c):
+        def keep(at, start, own, comp):
             # Chunk by chunk again, so no (set, bitmask) array of thresholds is
             # held: a frame goes to eigvalsh when its subset or its complement is near.
-            own, comp = views(at, start)
-            own_near = near[at][:, sizes[start : start + cols]]
-            comp_near = near[at][:, sizes[full - start - cols + 1 : full - start + 1]]
-            return (own >= own_near) | (comp >= comp_near)[:, ::-1]
+            return (lam[own] >= near[at][:, sizes[own[1]]]) | (lam[comp] >= near[at][:, sizes[comp[1]]])
 
     else:
-        owners, frame = _rayleigh_candidates(pools, n_bases)
-        diagonalize(owners, frame)
-        floor = np.full((n_sets, n + 1), -np.inf)
-        np.maximum.at(floor, (owners, sizes[frame]), lam[owners, frame])
-        np.maximum.at(floor, (owners, n - sizes[frame]), lam[owners, full - frame])
+        lam.fill(-np.inf)
+        diagonalize(*_rayleigh_candidates(pools, n_bases))
+        # lam holds only the candidates' values here
+        floor = _size_maxima(lam, sizes)
         shift = margin[:, None] + CERTIFIED_DELTA * n_bases
         # by the frame's own size |S|: F_S must lie below upper and above lower
         upper, lower = floor - shift, n_bases - floor[:, ::-1] + shift
 
         def by_part(f):
             """(set, ..., part, d, d, column): real and imaginary parts, columns last."""
-            return np.ascontiguousarray(np.moveaxis(np.stack([f.real, f.imag], axis=-3), -4, -1))
+            return None if f is None else np.ascontiguousarray(np.moveaxis(np.stack([f.real, f.imag], axis=-3), -4, -1))
 
-        parts, ket_parts = by_part(table), {i: by_part(v) for i, v in kets.items()}
-        high_parts = by_part(high_frames[:, :, None])
+        parts, ket_parts, high_parts = by_part(table), {i: by_part(v) for i, v in kets.items()}, by_part(high)
         # (set, part, d, d, test, column): the subset's test, then the complement's;
         # n - 1 >= CLOSED_FORM_BITS here, so a chunk is one set's
         tests = np.empty((1, 2, d, d, 2, cols))
         diag = np.arange(d)
 
-        def keep(at, start, h, c):
-            chunk_frames(at, h, c, parts, ket_parts, high_parts, out=tests[..., 1, :])
+        def keep(at, start, own, comp):
+            chunk_frames(at, start, parts, ket_parts, high_parts, out=tests[..., 1, :])
             np.negative(tests[..., 1, :], out=tests[..., 0, :])
-            k = sizes[start : start + cols]
+            k = sizes[own[1]]
             tests[:, 0, diag, diag, 0] += upper[at][:, None, k]
             tests[:, 0, diag, diag, 1] -= lower[at][:, None, k]
             cleared = _cholesky_completes(np.moveaxis(tests, 0, 3)).all(axis=1)
-            return ~cleared & ~np.isfinite(views(at, start)[0])
+            return ~cleared & ~np.isfinite(lam[own])
 
     gather(keep)
     return lam, sizes
 
 
-def _picks(lam: np.ndarray, sizes: np.ndarray, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (set, bitmask) pairs of a screen ``lam`` (set, bitmask) whose value
-    lies within the set's ``margin`` of its size's largest: the subsets that
-    the confirmation diagonalizes, sorted by size, and by row, set and
-    bitmask within a size.
+def _size_maxima(lam: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The largest value of each set's screen ``lam`` (set, bitmask) at each
+    size k = 0..n, shaped (set, n + 1), -inf where a size has only -inf;
+    ``sizes`` are the popcounts of the bitmasks (``_popcounts(n)``).
 
     In rows of 2^w consecutive bitmasks, w = min(n, ROW_BITS), a bitmask's
     size is its row's base plus the popcount of its column.  Gathered into
     the popcount order of ``_popcount_table(w)``, each size of a row is one
-    run: one reduceat gives the row's per-size maxima, and one comparison
-    against each size's threshold, repeated over its run, its picks.
+    run, and one reduceat gives the row's per-size maxima.
     """
     n_sets = lam.shape[0]
     n = int(sizes[-1])
     width = min(n, ROW_BITS)
-    _, order, starts, lengths = _popcount_table(width)
+    _, order, starts, _ = _popcount_table(width)
+    if width == n:
+        # one row, whose runs are the sizes 0..n
+        return np.maximum.reduceat(lam[:, order], starts, axis=1)
     rows = lam.reshape(n_sets, -1, 1 << width)
-    bases = sizes[:: 1 << width].tolist()
     top = np.full((n_sets, n + 1), -np.inf)
-    for r, b in enumerate(bases):
-        ranked = rows[:, r, order]
+    for r, b in enumerate(sizes[:: 1 << width].tolist()):
         row_top = top[:, b : b + width + 1]
-        np.maximum(row_top, np.maximum.reduceat(ranked, starts, axis=1), out=row_top)
-    threshold = top - margin[:, None]
+        np.maximum(row_top, np.maximum.reduceat(rows[:, r, order], starts, axis=1), out=row_top)
+    return top
+
+
+def _picks(lam: np.ndarray, sizes: np.ndarray, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (set, bitmask) pairs of a screen ``lam`` (set, bitmask) whose value
+    lies within the set's ``margin`` of its size's largest (``_size_maxima``):
+    the subsets that the confirmation diagonalizes, sorted by size, and by
+    row, set and bitmask within a size.
+
+    Each row of the screen, as ``_size_maxima`` reads it, is gathered into
+    popcount order, where each size is one run: one comparison against each
+    size's threshold, repeated over its run, gives the row's picks.
+    """
+    n_sets = lam.shape[0]
+    n = int(sizes[-1])
+    width = min(n, ROW_BITS)
+    _, order, _, lengths = _popcount_table(width)
+    rows = lam.reshape(n_sets, -1, 1 << width)
+    threshold = _size_maxima(lam, sizes) - margin[:, None]
     owners, masks = [], []
-    for r, b in enumerate(bases):
-        if len(bases) > 1:  # else the one row is still gathered
-            ranked = rows[:, r, order]
-        owner, at = (ranked >= threshold[:, b : b + width + 1].repeat(lengths, axis=1)).nonzero()
+    for r, b in enumerate(sizes[:: 1 << width].tolist()):
+        owner, at = (rows[:, r, order] >= threshold[:, b : b + width + 1].repeat(lengths, axis=1)).nonzero()
         owners.append(owner)
         masks.append(order[at] + (r << width))
-    if n_sets == 1 and len(bases) == 1:
+    if n_sets == 1 and len(owners) == 1:
         # one set's one row is in size order already
         return owners[0], masks[0]
     owners, masks = np.concatenate(owners), np.concatenate(masks)

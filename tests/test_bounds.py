@@ -1412,3 +1412,80 @@ def test_import_builds_no_table():
     caches = json.loads(proc.stdout)
     assert {"eurkit.bounds._cycle_tables", "eurkit.bounds._popcount_table"} <= set(caches)
     assert caches == dict.fromkeys(caches, 0)
+
+
+def record_eigvalsh_calls(monkeypatch, call):
+    """The result of ``call()`` and the shapes of the eigvalsh calls it made."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    try:
+        return call(), shapes
+    finally:
+        monkeypatch.undo()
+
+
+def assert_screen_is_the_eigvalsh_screen(monkeypatch, sets):
+    """Without a prefilter, ``_screen`` is ``screen_oracle`` call for call: the
+    same lam and sizes (==) and the same eigvalsh call shapes."""
+    pools = pools_of(sets)
+    n_bases = len(sets[0])
+    margin = screen_margins(pools, n_bases)
+    (lam, sizes), shapes = record_eigvalsh_calls(monkeypatch, lambda: eurkit.bounds._screen(pools, n_bases, margin))
+    (oracle_lam, oracle_sizes), oracle_shapes = record_eigvalsh_calls(monkeypatch, lambda: screen_oracle(pools, n_bases))
+    assert np.array_equal(lam, oracle_lam) and np.array_equal(sizes, oracle_sizes)
+    assert shapes == oracle_shapes
+
+
+def size_maxima_oracle(lam):
+    """Per set and size, the largest value of a screen, by one np.maximum.at
+    over popcounts taken bit by bit."""
+    n_sets, width = lam.shape
+    n = width.bit_length() - 1
+    masks = np.arange(width)
+    sizes = np.zeros(width, dtype=np.intp)
+    for i in range(n):
+        sizes += masks >> i & 1
+    top = np.full((n_sets, n + 1), -np.inf)
+    np.maximum.at(top, (np.arange(n_sets)[:, None], sizes[None, :]), lam)
+    return top
+
+
+class TestOneScreenPipeline:
+    def test_pools_without_a_prefilter_are_the_eigvalsh_screen_call_for_call(self, rng, monkeypatch):
+        # one 9-ket family set and a stack of 129, one call each; 12-ket pools of d = 2 and 4, below the certificate; one or two
+        # bases of d = 13 and 7; 17 one-dimensional kets, whose 16 kets besides
+        # the last split into 15 low kets and two high subsets
+        phases = [ProjectiveMeasurement([[np.exp(1j * t)]]) for t in rng.uniform(0.0, 2.0 * np.pi, 17)]
+        cases = [
+            [build_family(0.3)],
+            [build_family(a) for a in np.linspace(0.0, 1.0, 129)],
+            [random_set(rng, 2, 6)],
+            [random_set(rng, 4, 3), random_set(rng, 4, 3)],
+            [random_set(rng, 13, 1)],
+            [random_set(rng, 7, 2)],
+            [phases],
+        ]
+        for sets in cases:
+            assert_screen_is_the_eigvalsh_screen(monkeypatch, sets)
+
+    def test_size_maxima_match_maximum_at(self, rng):
+        # n = 1..20: one row of 2^ROW_BITS bitmasks up to n = 16, several from
+        # n = 17 on; values on a grid of quarters, so sizes tie, and about a
+        # third of them -inf, with one set's screen all -inf but one entry
+        for n in range(1, 21):
+            sizes = eurkit.bounds._popcounts(n)
+            for n_sets in (1, 3):
+                lam = np.round(rng.uniform(0.0, 3.0, (n_sets, 1 << n)) * 4.0) / 4.0
+                lam[rng.random(lam.shape) < 0.3] = -np.inf
+                if n_sets == 3:
+                    lam[1] = -np.inf
+                    lam[1, rng.integers(1 << n)] = 1.0
+                top = eurkit.bounds._size_maxima(lam, sizes)
+                assert top.shape == (n_sets, n + 1)
+                assert np.array_equal(top, size_maxima_oracle(lam))
