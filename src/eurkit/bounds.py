@@ -55,20 +55,20 @@ from .linalg import (
     overlap_c,
 )
 
-# Pooled-vector limit for the majorization profile: the screen covers
-# 2^(n-1) d x d frame operators (in closed form for qutrits, by a Cholesky
-# certificate for d != 3) and keeps 9 * 2^n bytes of screened values.  At
-# n = 24, process time on one core of a 2-vCPU x86 host: 0.7-0.9 s and
-# 0.19 GB for random bases of d = 2 (6.9 s and 0.25 GB with the eigvalsh
-# screen), 2.2-2.4 s and 0.20 GB for d = 4 (30.3 s and 0.25 GB), 23-24 s
-# and 0.26 GB for six copies of one d = 4 basis (37.5 s and 0.28 GB), whose
-# ties make the Gram-block confirmation the heaviest; for d = 3, 1.8-1.9 s
-# and 0.19 GB for random bases and 5.3-5.4 s and 0.22 GB for eight copies
-# of one basis.
+# rpz_profiles refuses a pool of more than MAX_POOL_VECTORS kets, or one
+# whose screen work 2^(n-1) d^3 exceeds MAX_SCREEN_WORK, with a
+# CapacityError before any work (test_capacity_limit,
+# test_screen_work_limit).  MAX_SCREEN_WORK is the work of 24 kets of d = 4
+# (test_screen_work_limit_admits_the_largest_timed_pool): one basis of
+# d = 24 has only 24 kets, but 2^23 frames of 24 x 24.  A screen holds
+# 9 * 2^n bytes of screen values and sizes (float64 per set, uint8 once);
+# a prefiltered one adds one table of 2^CLOSED_FORM_BITS frames and one
+# chunk of fill buffers (the closed form's, one table's size) or of test
+# buffers (the certificate's two tests, twice that), and every other a
+# table and chunks of at most 2^SCREEN_BITS frames of the stack
+# (test_reference_pool_peak_stays_in_the_screen_working_set).  Times and
+# memory at n = 24 are in CHANGES.md.
 MAX_POOL_VECTORS = 24
-# The screen's work grows as 2^(n-1) d^3, and a pool is refused past that
-# of the worst pool timed above, n = 24 at d = 4: one basis of d = 24 has
-# only 24 kets, yet its 2^23 frames of 24 x 24 would take about 330 s.
 MAX_SCREEN_WORK = (1 << 23) * 4**3
 # The rpz screen diagonalizes 2^SCREEN_BITS d x d frame operators per
 # eigvalsh call, from as many sets of a stack as fit; the confirmation
@@ -82,32 +82,29 @@ CONFIRM_ENTRIES = 1 << 19
 # (``_popcount_table``).
 ROW_BITS = SCREEN_BITS + 1
 # Qutrit pools of at least CLOSED_FORM_KETS kets are screened in closed form
-# (``_qutrit_extremes``), at most 2^CLOSED_FORM_BITS frames per chunk, and
-# only the frames that can reach a size's maximum go to eigvalsh; the closed
-# form errs by less than CLOSED_FORM_EPS * N on frames of N bases (README).
-# Median rpz_profiles call, eigvalsh-only screen against closed form, calls
-# interleaved on one core of a busy 2-vCPU x86 host: one 9-ket family set
-# 1.60 / 1.83 ms, a stack of 16 family sets 11.4 / 13.1 ms, 9 random kets
-# 1.75 / 1.69 ms, 12 random kets 6.9 / 3.9 ms, 15 random kets 39 / 8.5 ms.
-# Peak RSS of a process that profiles the 18-ket benchmark pool: 49.8 MB
-# with the eigvalsh screen, 46.0 MB with chunks of 2^12 frames, 54.5 MB
-# with whole 2^15-frame blocks.
+# (``_qutrit_extremes``), in chunks of at most 2^CLOSED_FORM_BITS frames,
+# which errs by less than CLOSED_FORM_EPS * N on frames of N bases (README;
+# test_closed_form_error_bound); only the frames whose subset or complement
+# lies within the confirmation margin plus twice that error of its size's
+# closed-form maximum go to eigvalsh.  Smaller pools keep the eigvalsh
+# screen call for call (test_other_pools_keep_the_eigvalsh_screen);
+# test_eighteen_ket_pool_sends_few_frames_to_eigvalsh pins the chunks and
+# calls of the 18-ket reference pool.
 CLOSED_FORM_KETS = 12
 CLOSED_FORM_BITS = 12
 CLOSED_FORM_EPS = 1e-6
 # Pools of d != 3 with at least CERTIFIED_KETS kets, at least three bases
 # and d >= 2 clear their frames by a Cholesky certificate, in the chunks of
 # the closed form, with thresholds moved CERTIFIED_DELTA * N past the
-# confirmation's (README).  With one or two bases, or d = 1, nearly every
-# frame ties at its size's maximum on one side and would reach eigvalsh all
-# the same: 6497 of 8192 frames at d = 7, N = 2, and the certified screen
-# took 151 / 192 ms where eigvalsh took 136 / 134 ms (d = 7, N = 2 and
-# d = 13, N = 1).  Median rpz_profile calls, eigvalsh screen against
-# certificate, interleaved, process time on one core of a 2-vCPU x86 host:
-# d = 2 at n = 14 10.3 / 4.3 ms, d = 5 at n = 15 111 / 55 ms, d = 4 at
-# n = 16 132 / 36 ms, d = 2 at n = 18 136 / 32 ms.  12-ket pools would
-# gain too (d = 2 3.8 / 2.8 ms, d = 4 11.3 / 7.1 ms), but keep the eigvalsh
-# screen call for call, which the tests pin.
+# confirmation's (README; test_certificate_is_sound_and_live,
+# test_thresholds_inside_delta_are_never_cleared).  Pools of one or two
+# bases, or of d = 1, tie at nearly every frame on one side and keep the
+# eigvalsh screen (test_pools_of_one_or_two_bases_keep_the_eigvalsh_screen),
+# as smaller pools do call for call
+# (test_pools_without_a_prefilter_are_the_eigvalsh_screen_call_for_call);
+# test_sixteen_ket_pool_sends_few_frames_to_eigvalsh pins the chunks and
+# calls of the 16-ket reference pool.  The timings behind these limits
+# and the chunk size are in CHANGES.md.
 CERTIFIED_KETS = 13
 CERTIFIED_DELTA = 1e-12
 # Best-ordering search is factorial in the number of measurements.
@@ -373,17 +370,66 @@ def _qutrit_extremes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     br, bi = f[..., 1, 0].real, f[..., 1, 0].imag
     cr, ci = f[..., 2, 0].real, f[..., 2, 0].imag
     er, ei = f[..., 2, 1].real, f[..., 2, 1].imag
-    q = (a0 + a1 + a2) / 3.0
+    # With bb = |F10|^2, cc = |F20|^2 and ee = |F21|^2, read left to right:
+    #   q = (a0 + a1 + a2) / 3, then a_i - q
+    #   p = sqrt((a0 a0 + a1 a1 + a2 a2 + 2 (bb + cc + ee)) / 6)
+    #   det = a0 a1 a2 - a0 ee - a1 cc - a2 bb + 2 ((br er - bi ei) cr + (br ei + bi er) ci)
+    #   phi = arccos(clip(det / (2 p p p))) / 3
+    #   q + 2p cos(phi + 2 pi / 3) and q + 2p cos(phi)
+    # Each is taken in place, so that few chunk-sized arrays are live at once,
+    # in that order of sums and products, so that the values keep their bits.
+    q = a0 + a1
+    q += a2
+    q /= 3.0
     a0, a1, a2 = a0 - q, a1 - q, a2 - q
-    bb, cc, ee = br * br + bi * bi, cr * cr + ci * ci, er * er + ei * ei
-    p = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (bb + cc + ee)) / 6.0)
+    bb, cc, ee = br * br, cr * cr, er * er
+    bb += bi * bi
+    cc += ci * ci
+    ee += ei * ei
+    p = a0 * a0
+    p += a1 * a1
+    p += a2 * a2
+    t = bb + cc
+    t += ee
+    t *= 2.0
+    p += t
+    p /= 6.0
+    np.sqrt(p, out=p)
     # det(F - q1) with Re(F10 conj(F20) F21) for the two off-diagonal cycles
-    det = a0 * a1 * a2 - a0 * ee - a1 * cc - a2 * bb + 2.0 * ((br * er - bi * ei) * cr + (br * ei + bi * er) * ci)
-    p3 = 2.0 * p * p * p
+    det = a0 * a1
+    det *= a2
+    det -= a0 * ee
+    det -= a1 * cc
+    det -= a2 * bb
+    del a0, a1, a2, bb, cc, ee
+    t = br * er
+    t -= bi * ei
+    t *= cr
+    u = br * ei
+    u += bi * er
+    u *= ci
+    t += u
+    t *= 2.0
+    det += t
+    del t, u
+    p3 = 2.0 * p
+    p3 *= p
+    p3 *= p
     # p = 0 is F = q1, whose eigenvalues q come out for any r
-    r = np.divide(det, p3, out=np.zeros_like(p3), where=p3 > 0.0)
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    return q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q + 2.0 * p * np.cos(phi)
+    phi = np.divide(det, p3, out=np.zeros_like(p3), where=p3 > 0.0)
+    del det, p3
+    np.clip(phi, -1.0, 1.0, out=phi)
+    np.arccos(phi, out=phi)
+    phi /= 3.0
+    p *= 2.0
+    lo = phi + 2.0 * np.pi / 3.0
+    np.cos(lo, out=lo)
+    lo *= p
+    lo += q
+    hi = np.cos(phi, out=phi)
+    hi *= p
+    hi += q
+    return lo, hi
 
 
 def _cholesky_completes(a: np.ndarray) -> np.ndarray:
@@ -408,15 +454,15 @@ def _cholesky_completes(a: np.ndarray) -> np.ndarray:
             ok &= pivot > 0.0
             if j + 1 == d:
                 break
-            # L_ij = (A_ij - sum_k L_ik conj(L_jk)) / L_jj for the rows i below j:
-            # the real part sums below[c] row[c], the imaginary below[1 - c] conj(row)[c]
+            # L_ij = (A_ij - sum_k L_ik conj(L_jk)) / L_jj for the rows i below j,
+            # in place, as the sums read only the columns left of j: the real part
+            # sums below[c] row[c], the imaginary below[1 - c] conj(row)[c]
             col = a[:, j + 1 :, j]
             if j:
                 below = a[:, j + 1 :, :j]
-                real = np.einsum("cik...,ck...->i...", below, row)
-                imag = np.einsum("cik...,ck...->i...", below[::-1], row * conj)
-                col = col - np.stack([real, imag])
-            np.divide(col, np.sqrt(np.where(pivot > 0.0, pivot, 1.0)), out=a[:, j + 1 :, j])
+                col[0] -= np.einsum("cik...,ck...->i...", below, row)
+                col[1] -= np.einsum("cik...,ck...->i...", below[::-1], row * conj)
+            np.divide(col, np.sqrt(np.where(pivot > 0.0, pivot, 1.0)), out=col)
     return ok
 
 
@@ -497,6 +543,8 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
       F_S - (N - T'_(n-|S|) + margin + delta) 1 both complete
       (``_cholesky_completes``); delta = CERTIFIED_DELTA * N covers their
       rounding and eigvalsh's.  A cleared frame's two values stay -inf.
+      The table is held once, as real and imaginary parts, from which
+      the tests and the frames for eigvalsh are both built.
 
     One loop, ``gather``, sends the frames that a prefilter keeps to
     eigvalsh, in calls of 2^SCREEN_BITS frames but the last.  A frame that
@@ -569,7 +617,13 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
         2^SCREEN_BITS frames per call."""
         for b in range(0, owners.size, 1 << SCREEN_BITS):
             o, m = owners[b : b + (1 << SCREEN_BITS)], frame[b : b + (1 << SCREEN_BITS)]
-            f = table[o, m & (cols - 1)]
+            c = m & (cols - 1)
+            if table is None:
+                # the certificate's table, held as its real and imaginary parts
+                f = np.empty((o.size, d, d), dtype=complex)
+                f.real, f.imag = parts[o, 0, :, :, c], parts[o, 1, :, :, c]
+            else:
+                f = table[o, c]
             for i in kets:
                 on = (m >> i & 1).astype(bool)
                 f[on] += kets[i][o[on], 0]
@@ -603,6 +657,20 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
             return (lam[own] >= near[at][:, sizes[own[1]]]) | (lam[comp] >= near[at][:, sizes[comp[1]]])
 
     else:
+
+        def by_part(f):
+            """(..., part, d, d, column) of frames f (..., column, d, d): real and
+            imaginary parts, columns last."""
+            if f is None:
+                return None
+            split = np.empty((*f.shape[:-3], 2, *f.shape[-2:], f.shape[-3]))
+            split[..., 0, :, :, :] = np.moveaxis(f.real, -3, -1)
+            split[..., 1, :, :, :] = np.moveaxis(f.imag, -3, -1)
+            return split
+
+        # the table is held once, as parts; ``diagonalize`` reassembles its frames
+        parts, ket_parts, high_parts = by_part(table), {i: by_part(v) for i, v in kets.items()}, by_part(high)
+        table = None
         lam.fill(-np.inf)
         diagonalize(*_rayleigh_candidates(pools, n_bases))
         # lam holds only the candidates' values here
@@ -610,12 +678,6 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
         shift = margin[:, None] + CERTIFIED_DELTA * n_bases
         # by the frame's own size |S|: F_S must lie below upper and above lower
         upper, lower = floor - shift, n_bases - floor[:, ::-1] + shift
-
-        def by_part(f):
-            """(set, ..., part, d, d, column): real and imaginary parts, columns last."""
-            return None if f is None else np.ascontiguousarray(np.moveaxis(np.stack([f.real, f.imag], axis=-3), -4, -1))
-
-        parts, ket_parts, high_parts = by_part(table), {i: by_part(v) for i, v in kets.items()}, by_part(high)
         # (set, part, d, d, test, column): the subset's test, then the complement's;
         # n - 1 >= CLOSED_FORM_BITS here, so a chunk is one set's
         tests = np.empty((1, 2, d, d, 2, cols))

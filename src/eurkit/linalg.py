@@ -346,7 +346,8 @@ def matrix_sqrt_psd(matrix) -> np.ndarray:
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     """``matrix_sqrt_psd`` of a matrix that is already an exactly Hermitian complex array."""
     vals, vecs = np.linalg.eigh(m)
-    lo = float(vals.min())
+    # with initial=0.0 a 0 x 0 matrix has its 0 x 0 root; lo < -ATOL reads the same
+    lo = float(vals.min(initial=0.0))
     if lo < -ATOL:
         raise ValidationError(f"matrix is not PSD within tolerance (min eigenvalue {lo:.3e})")
     # np.maximum is the ufunc np.clip(vals, 0.0, None) calls

@@ -24,6 +24,7 @@ angle coincides with the printed one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,11 @@ class Pulse:
     def __post_init__(self):
         if not isinstance(self.channel, Channel):
             raise ValidationError("pulse channel must be a Channel")
-        if not (isinstance(self.angle, (int, float)) and math.isfinite(self.angle)):
+        # numbers.Real takes Python and NumPy ints and floats; a bool is an
+        # int to Python, but no angle
+        if isinstance(self.angle, bool) or not isinstance(self.angle, numbers.Real):
+            raise ValidationError(f"pulse angle must be a real number, got {self.angle!r}")
+        if not math.isfinite(self.angle):
             raise ValidationError(f"pulse angle {self.angle!r} is not finite")
         if self.angle < 0.0:
             raise ValidationError(f"pulse angle {self.angle!r} is negative")
@@ -184,13 +189,17 @@ def verify_projection_sequence(target, pulses) -> float:
 
 
 def verify_row(row: TableRow, *, threshold: float = 1.0 - 1e-9) -> RowCheck:
-    """Prepare the row's target from |0> and score the ray fidelity."""
+    """Prepare the row's target from |0> and score the ray fidelity against
+    ``threshold``, a real number in [0, 1] as ``eurkit pulse-verify
+    --threshold`` takes it: NaN would fail every row."""
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     fid = verify_projection_sequence(row.target, row.preparation_pulses())
     return RowCheck(index=row.index, fidelity=fid, passed=fid >= threshold)
 
 
 def verify_table(rows=None, *, threshold: float = 1.0 - 1e-9) -> list[RowCheck]:
-    """Verify every row of a table (bundled table by default)."""
+    """Verify every row of a table (bundled table by default) by ``verify_row``."""
     table = PROJECTION_TABLE if rows is None else tuple(rows)
     if not table:
         raise ValidationError("table has no rows")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1489,3 +1490,25 @@ class TestOneScreenPipeline:
                 top = eurkit.bounds._size_maxima(lam, sizes)
                 assert top.shape == (n_sets, n + 1)
                 assert np.array_equal(top, size_maxima_oracle(lam))
+
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_reference_pool_peak_stays_in_the_screen_working_set(self, n):
+        # The working set of MAX_POOL_VECTORS' comment: 9 * 2^n bytes of screen
+        # values and sizes, one table of 2^CLOSED_FORM_BITS complex d x d frames
+        # and one chunk buffer, the closed form's as large as the table and the
+        # certificate's two tests twice that, plus 128 bytes (sixteen floats)
+        # per chunk column of temporaries.  n = 16 runs the certificate
+        # (d = 4), n = 18 the closed form (d = 3).
+        bases, recorded = reference_pool(n)
+        d = bases[0].dim
+        rpz_profile(bases)  # the popcount tables, built once per width
+        table = (1 << CLOSED_FORM_BITS) * 16 * d * d
+        limit = 9 * (1 << n) + table + table * (1 if d == 3 else 2) + (1 << CLOSED_FORM_BITS) * 128
+        tracemalloc.start()
+        try:
+            profile = rpz_profile(bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.s_coeffs == recorded
+        assert peak < limit, f"peak {peak} bytes, working set {limit}"

@@ -245,6 +245,12 @@ class TestMatrixSqrtPsd:
                 continue  # both refuse it
             assert matrix_sqrt_psd(m).tobytes() == matrix_sqrt_psd_oracle(m).tobytes()
 
+    def test_empty_matrix_has_the_empty_root(self):
+        # hermitian_eigen returns empty arrays for the same input
+        root = matrix_sqrt_psd(np.zeros((0, 0)))
+        assert root.shape == (0, 0) and root.dtype == complex
+        assert [x.shape for x in hermitian_eigen(np.zeros((0, 0)))] == [(0,), (0, 0)]
+
     def test_rejects_reference_matrix_negativity(self):
         # the bundled experimental matrix dips to about -3.8e-3, which is
         # inside the data admission window but outside the strict PSD

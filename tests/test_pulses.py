@@ -88,6 +88,26 @@ class TestPulseValidation:
         with pytest.raises(ValidationError):
             Pulse(CHANNELS["MW0"], -0.1)
 
+    def test_numpy_scalar_angles(self):
+        for angle in (np.float32(1.0), np.float64(1.0), np.int64(1), np.int32(1), 1):
+            pulse = Pulse(CHANNELS["MW0"], angle)
+            assert type(pulse.angle) is float and pulse.angle == 1.0
+
+    @pytest.mark.parametrize("angle", [True, False, np.bool_(True), "1.0", None, 1j, np.array([1.0])])
+    def test_angle_that_is_no_real_number(self, angle):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            Pulse(CHANNELS["MW0"], angle)
+
+    @pytest.mark.parametrize("angle", [-float("inf"), np.float32("nan"), np.float64("inf")])
+    def test_angle_that_is_not_finite(self, angle):
+        with pytest.raises(ValidationError, match="is not finite"):
+            Pulse(CHANNELS["MW0"], angle)
+
+    @pytest.mark.parametrize("angle", [np.float32(-0.5), np.int64(-1)])
+    def test_negative_numpy_angles(self, angle):
+        with pytest.raises(ValidationError, match="is negative"):
+            Pulse(CHANNELS["MW0"], angle)
+
     def test_apply_pulses_type_check(self):
         with pytest.raises(ValidationError):
             apply_pulses([("MW0", 1.0)])
@@ -192,6 +212,18 @@ class TestProjectionTable:
     def test_verify_row_threshold(self):
         check = verify_row(PROJECTION_TABLE[4], threshold=0.5)
         assert check.passed and check.index == 5
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.5, True, "0.5", None])
+    def test_verify_row_and_table_refuse_bad_thresholds(self, threshold):
+        # as eurkit pulse-verify --threshold does; NaN would fail every row
+        with pytest.raises(ValidationError, match="threshold"):
+            verify_row(PROJECTION_TABLE[0], threshold=threshold)
+        with pytest.raises(ValidationError, match="threshold"):
+            verify_table(threshold=threshold)
+
+    def test_thresholds_at_the_ends_of_the_range(self):
+        for threshold in (0, 0.0, np.float32(0.5), 1.0):
+            assert all(c.passed == (c.fidelity >= threshold) for c in verify_table(threshold=threshold))
 
     def test_verify_table_rejects_empty(self):
         with pytest.raises(ValidationError):
