@@ -46,7 +46,6 @@ from .entropy import _entropy_of_clamped, entropy_sum, von_neumann_entropy
 from .linalg import (
     ATOL,
     CapacityError,
-    DensityOperator,
     MeasurementSet,
     ProjectiveMeasurement,
     ValidationError,
@@ -109,11 +108,8 @@ CERTIFIED_KETS = 13
 CERTIFIED_DELTA = 1e-12
 # Best-ordering search is factorial in the number of measurements.
 MAX_ORDERING_SEARCH = 5
-# The scb cycle search visits at most 2^N N^3 path states.  At d = 2 on one
-# core of a 2-vCPU x86 host it takes 0.06 ms at N = 8 and 0.15 ms at N = 9,
-# after 0.65 and 1.4 ms to build that N's tables once per process; N = 12
-# would take 3 ms after 34 ms.  The cap stays until one cost model sets
-# every cap.
+# The scb cycle search visits at most 2^N N^3 path states; its times are in
+# CHANGES.md.  The cap stays until one cost model sets every cap.
 MAX_SCB_MEASUREMENTS = 9
 
 
@@ -124,16 +120,16 @@ def mu_bound(r: ProjectiveMeasurement, s: ProjectiveMeasurement) -> float:
 
 def _evaluate(ms: MeasurementSet, name: str, pieces, rho=None) -> float:
     """max(0, max over the pieces (c, a) of bound ``name`` of c + a S(rho)),
-    with ``pieces(ms)`` run on the bound's first use on the set only.  The
-    one place where the bounds check the state's dimension; rpz, whose one
-    piece has a = 0, is evaluated without a state."""
+    with ``pieces(ms)`` run on the bound's first use on the set only.  The one
+    place where the bounds admit a state, as ``bound_report`` does, and check
+    its dimension; rpz, whose one piece has a = 0, is evaluated without one."""
     kept = ms.memo(name, pieces)
     s = 0.0
     if rho is not None:
+        rho = as_density_operator(rho)
         s = von_neumann_entropy(rho)
-        dim = rho.dim if isinstance(rho, DensityOperator) else len(rho)
-        if dim != ms[0].dim:
-            raise ValidationError(f"dimension mismatch: measurement dim {ms[0].dim}, state dim {dim}")
+        if rho.dim != ms[0].dim:
+            raise ValidationError(f"dimension mismatch: measurement dim {ms[0].dim}, state dim {rho.dim}")
     return _bound_value(kept, s)
 
 
@@ -265,7 +261,8 @@ def _lmf_pieces(b: np.ndarray, n: int) -> list[tuple[tuple[float, float], ...]]:
 def lmf_bound(measurements, rho) -> float:
     """Chained bound (N-1) S(rho) - log2 b; sensitive to measurement order."""
     ms = as_measurements(measurements, minimum=2)
-    return _evaluate(ms, "lmf", lambda ms: ((-math.log2(lmf_chain_coefficient(ms)), len(ms) - 1.0),), rho)
+    n = len(ms)
+    return _evaluate(ms, "lmf", lambda ms: _lmf_pieces(_chain_coefficient(ms.squared_overlaps[None], range(n)), n)[0], rho)
 
 
 def lmf_bound_best_ordering(measurements, rho) -> float:
@@ -530,11 +527,11 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
       for pools of one or two bases or of d = 1: a chunk is the whole stack's low subsets with one high
       subset, and one eigvalsh call, so the screen is the eigvalsh-only
       one call for call.
-    - The closed form, for qutrit pools, in chunks of 2^CLOSED_FORM_BITS
-      frames: ``_qutrit_extremes`` fills every value, erring by at most
-      eps = CLOSED_FORM_EPS * N, and a frame goes to eigvalsh when its
-      subset or its complement lies within ``margin`` + 2 eps of its
-      size's closed-form maximum.
+    - The closed form, for qutrit pools, in chunks of one set's
+      2^min(n - 1, CLOSED_FORM_BITS) frames: ``_qutrit_extremes`` fills
+      every value, erring by at most eps = CLOSED_FORM_EPS * N, and a frame
+      goes to eigvalsh when its subset or its complement lies within
+      ``margin`` + 2 eps of its size's closed-form maximum.
     - The certificate, for other pools of at least CERTIFIED_KETS kets, in
       the same chunks: the frames of ``_rayleigh_candidates`` go to
       eigvalsh first, and the largest of their values at size k is T'_k,
@@ -562,8 +559,7 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
     sizes = _popcounts(n)
     prefiltered = n >= CLOSED_FORM_KETS and (d == 3 or (n >= CERTIFIED_KETS and n_bases >= 3 and d >= 2))
     if prefiltered:
-        bits = min(half, CLOSED_FORM_BITS)
-        rows = 1 << (CLOSED_FORM_BITS - bits)
+        bits, rows = min(half, CLOSED_FORM_BITS), 1
     else:
         # the whole stack's low subsets, as the eigvalsh-only screen takes them
         bits, rows = low, n_sets
@@ -678,8 +674,7 @@ def _screen(pools: np.ndarray, n_bases: int, margin: np.ndarray) -> tuple[np.nda
         shift = margin[:, None] + CERTIFIED_DELTA * n_bases
         # by the frame's own size |S|: F_S must lie below upper and above lower
         upper, lower = floor - shift, n_bases - floor[:, ::-1] + shift
-        # (set, part, d, d, test, column): the subset's test, then the complement's;
-        # n - 1 >= CLOSED_FORM_BITS here, so a chunk is one set's
+        # (set, part, d, d, test, column): the subset's test, then the complement's
         tests = np.empty((1, 2, d, d, 2, cols))
         diag = np.arange(d)
 

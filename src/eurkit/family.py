@@ -99,7 +99,8 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
 
     The chunks are split into contiguous blocks, one per worker
     (``_sweep_workers``): this process evaluates the first block and a
-    forked child each other one, and the rows are joined in grid order.
+    forked child each other one, so one block forks nothing, and the rows
+    are joined in grid order.
     A chunk's rows do not depend on the process that evaluates it, so they
     have the same bits for any worker count.  The first error in grid order
     is raised, and every child is reaped before ``sweep`` returns or raises.
@@ -113,8 +114,7 @@ def sweep(grid=None, states=None) -> list[SweepRow]:
     starts = range(0, a_values.size, SWEEP_CHUNK)
     workers = _sweep_workers(len(starts))
     blocks = [starts[k * len(starts) // workers : (k + 1) * len(starts) // workers] for k in range(workers)]
-    fields = _sweep_rows(a_values, pairs, blocks[0]) if workers == 1 else _forked_rows(a_values, pairs, blocks)
-    return [SweepRow(*row) for row in fields]
+    return [SweepRow(*row) for row in _forked_rows(a_values, pairs, blocks)]
 
 
 def _sweep_workers(chunks: int) -> int:

@@ -307,6 +307,8 @@ def _gauged_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def born_probabilities(measurement: ProjectiveMeasurement, rho) -> np.ndarray:
     """Outcome distribution p_i = <u_i| rho |u_i> of a projective measurement."""
+    if not isinstance(measurement, ProjectiveMeasurement):
+        raise ValidationError("expected ProjectiveMeasurement instances")
     return _born_probabilities(measurement.basis, as_density_matrix(rho, psd_tol=ATOL))
 
 
@@ -327,6 +329,8 @@ def _born_probabilities(kets: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def overlap_c(m1: ProjectiveMeasurement, m2: ProjectiveMeasurement) -> float:
     """Largest squared overlap c = max_{ij} |<u_i|v_j>|^2 between two bases."""
+    if not (isinstance(m1, ProjectiveMeasurement) and isinstance(m2, ProjectiveMeasurement)):
+        raise ValidationError("expected ProjectiveMeasurement instances")
     if m1.dim != m2.dim:
         raise ValidationError("overlap requires measurements of equal dimension")
     c = float(np.max(np.abs(m1.basis.conj() @ m2.basis.T) ** 2))

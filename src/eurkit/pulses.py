@@ -192,6 +192,8 @@ def verify_row(row: TableRow, *, threshold: float = 1.0 - 1e-9) -> RowCheck:
     """Prepare the row's target from |0> and score the ray fidelity against
     ``threshold``, a real number in [0, 1] as ``eurkit pulse-verify
     --threshold`` takes it: NaN would fail every row."""
+    if not isinstance(row, TableRow):
+        raise ValidationError("verify_row expects TableRow instances")
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     fid = verify_projection_sequence(row.target, row.preparation_pulses())

@@ -51,6 +51,7 @@ from eurkit.linalg import (
     overlap_c,
 )
 from eurkit.sampling import random_basis, random_density
+from eurkit.tomography import REFERENCE_RECONSTRUCTION
 
 BOUND_TOL = 1e-9
 
@@ -1512,3 +1513,49 @@ class TestOneScreenPipeline:
             tracemalloc.stop()
         assert profile.s_coeffs == recorded
         assert peak < limit, f"peak {peak} bytes, working set {limit}"
+
+
+# The raw states of test_raw_array_state_is_refused_as_by_born_probabilities:
+# data-window negativity, negativity beyond it, a non-Hermitian matrix, another
+# dimension and a wrong trace.
+RAW_STATES = (
+    np.diag([1.0 + 1e-6, -1e-6, 0.0]),
+    np.diag([0.5, 0.6, -0.1]),
+    np.array([[0.5, 1e-6], [0.0, 0.5]]),
+    np.eye(2) / 2,
+    np.diag([0.5, 0.5, 0.1]),
+)
+
+
+class TestOneStateAdmission:
+    @pytest.mark.parametrize("bound", [scb_bound, lmf_bound, lmf_bound_best_ordering])
+    def test_bounds_refuse_a_raw_state_as_bound_report_does(self, bound):
+        ms = build_family(0.3)
+        for state in RAW_STATES:
+            with pytest.raises(ValidationError) as report_error:
+                bound_report(ms, state)
+            with pytest.raises(ValidationError) as bound_error:
+                bound(ms, state)
+            assert type(bound_error.value) is type(report_error.value)
+            assert str(bound_error.value) == str(report_error.value)
+
+    @pytest.mark.parametrize("bound", [scb_bound, lmf_bound, lmf_bound_best_ordering])
+    def test_bounds_refuse_the_bundled_reconstruction(self, bound):
+        # its eigenvalue -3.83e-3 lies inside von_neumann_entropy's data window only
+        with pytest.raises(DataQualityError, match="^rho has eigenvalue -3.8298e-03 below the admission window"):
+            bound(build_family(0.5), REFERENCE_RECONSTRUCTION)
+
+
+def test_qutrit_stack_of_twelve_kets_is_closed_form_screened_one_set_per_chunk(rng, monkeypatch):
+    sets = [random_set(rng, 3, 4) for _ in range(4)]
+    chunks, extremes = [], eurkit.bounds._qutrit_extremes
+
+    def chunked(f):
+        chunks.append(f.shape)
+        return extremes(f)
+
+    monkeypatch.setattr(eurkit.bounds, "_qutrit_extremes", chunked)
+    stacked = rpz_profiles(sets)
+    assert chunks == [(1, 1 << 11, 3, 3)] * 4
+    assert stacked == [rpz_profile(ms) for ms in sets]
+    assert [(p.s_coeffs, p.deltas) for p in stacked] == [rpz_profile_oracle(ms) for ms in sets]

@@ -26,6 +26,8 @@ from eurkit.linalg import (
     overlap_c,
     ray_fidelity,
 )
+from eurkit.bounds import mu_bound
+from eurkit.entropy import entropy_sum
 from eurkit.family import build_family
 from eurkit.sampling import random_basis, random_density
 from eurkit.tomography import REFERENCE_RECONSTRUCTION
@@ -180,6 +182,15 @@ class TestOverlapC:
         with pytest.raises(ValidationError):
             overlap_c(random_basis(rng, dim=2), random_basis(rng, dim=3))
 
+    @pytest.mark.parametrize("other", [np.eye(3), np.eye(3, dtype=complex).tolist(), "M", None])
+    def test_foreign_measurement_refused_as_by_entropy_sum(self, rng, other):
+        m = random_basis(rng)
+        for pair in ((other, m), (m, other), (other, other)):
+            with pytest.raises(ValidationError, match="^expected ProjectiveMeasurement instances$"):
+                overlap_c(*pair)
+            with pytest.raises(ValidationError, match="^expected ProjectiveMeasurement instances$"):
+                mu_bound(*pair)
+
 
 class TestBornProbabilities:
     def test_eigenstate_of_measured_basis(self):
@@ -218,6 +229,13 @@ class TestBornProbabilities:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValidationError):
             born_probabilities(random_basis(rng, dim=2), random_density(rng, dim=3))
+
+    @pytest.mark.parametrize("other", [np.eye(3), np.eye(3, dtype=complex).tolist(), "M", None])
+    def test_foreign_measurement_refused_as_by_entropy_sum(self, rng, other):
+        rho = random_density(rng)
+        for call in (born_probabilities, lambda m, rho: entropy_sum([m], rho)):
+            with pytest.raises(ValidationError, match="^expected ProjectiveMeasurement instances$"):
+                call(other, rho)
 
 
 class TestMatrixSqrtPsd:

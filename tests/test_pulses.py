@@ -229,6 +229,14 @@ class TestProjectionTable:
         with pytest.raises(ValidationError):
             verify_table(rows=[])
 
+    @pytest.mark.parametrize("row", [1, None, "row 1", PROJECTION_TABLE[0].target])
+    def test_verify_row_and_table_refuse_foreign_rows(self, row):
+        # as apply_pulses refuses a foreign pulse, naming the type it expects
+        with pytest.raises(ValidationError, match="^verify_row expects TableRow instances$"):
+            verify_row(row)
+        with pytest.raises(ValidationError, match="^verify_row expects TableRow instances$"):
+            verify_table([PROJECTION_TABLE[0], row])
+
     def test_targets_read_only(self):
         with pytest.raises(ValueError):
             PROJECTION_TABLE[0].target[0] = 0.0
